@@ -1,5 +1,6 @@
 #include "backend.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -31,7 +32,7 @@ namespace wlcrc::runner
 namespace
 {
 
-/** Everything one shard task produces. */
+/** Everything one shard produces. */
 struct ShardOutcome
 {
     trace::ReplayResult replay;
@@ -54,32 +55,192 @@ materialiseStream(const ExperimentSpec &spec)
         return tracefile::gather(*spec.source);
     std::vector<trace::WriteTransaction> txns;
     txns.reserve(spec.lines);
-    if (spec.random) {
-        trace::RandomWorkload random(spec.seed);
-        for (uint64_t i = 0; i < spec.lines; ++i)
-            txns.push_back(random.next());
-    } else {
-        trace::TraceSynthesizer synth(
-            trace::WorkloadProfile::byName(spec.workload), spec.seed);
-        for (uint64_t i = 0; i < spec.lines; ++i)
-            txns.push_back(synth.next());
-    }
+    trace::synthesize(
+        spec.random, spec.workload, spec.seed, spec.lines,
+        [&](const trace::WriteTransaction &t) { txns.push_back(t); });
     return txns;
 }
 
 /**
- * Replay shard @p shard of @p spec. Synthesized streams are
- * re-derived per shard and filtered down to the shard's addresses
- * (synthesis is cheap relative to replay, and source-independent
- * shards need no cross-thread coordination); sourced streams open a
- * per-shard cursor that filters — and, for indexed containers,
- * block-prunes — on the source side, so a trace larger than RAM
- * replays without ever being materialised.
+ * Whether @p spec's shards replay from one shared synthesis pass
+ * (fanOutGroup) rather than one runShard each: stock replays of a
+ * synthesized stream. Sourced specs keep per-shard cursors, whose
+ * source-side filtering and block pruning is what makes them fast.
+ */
+bool
+fansOut(const ExperimentSpec &spec)
+{
+    return !spec.source && !spec.customReplay && !spec.lifetime &&
+           !spec.leveler.active();
+}
+
+/** Tasks @p spec runs as when fanned-out specs split @p width ways. */
+unsigned
+groupsOf(const ExperimentSpec &spec, unsigned width)
+{
+    const unsigned shards = effectiveShards(spec);
+    return fansOut(spec) ? std::min(shards, width) : shards;
+}
+
+/** The codec every replay of @p spec runs through. */
+coset::CodecPtr
+specCodec(const ExperimentSpec &spec, const pcm::EnergyModel &energy)
+{
+    return spec.codecFactory ? spec.codecFactory(energy)
+                             : core::makeCodec(spec.scheme, energy);
+}
+
+/**
+ * Shard @p shard's replayer, on a device seeded shardSeed(); attaches
+ * @p out's wear tracker when the spec tracks wear.
+ */
+std::unique_ptr<trace::Replayer>
+shardReplayer(const ExperimentSpec &spec, const coset::LineCodec &codec,
+              const pcm::WriteUnit &unit, unsigned shard,
+              ShardOutcome &out)
+{
+    auto rep = std::make_unique<trace::Replayer>(
+        codec, unit, shardSeed(spec.seed, shard, spec.shards),
+        spec.device.vnr);
+    if (spec.device.wearEndurance || spec.keepWearTracker) {
+        out.wear.emplace(codec.cellCount());
+        rep->device().attachWearTracker(&*out.wear);
+    }
+    return rep;
+}
+
+/**
+ * Replay shard @p shard of a spec that does not fan out: custom
+ * replays and leveled/lifetime specs (single-sharded), and sourced
+ * specs, whose per-shard cursor filters — and, for indexed
+ * containers, block-prunes — on the source side, so a trace larger
+ * than RAM replays without ever being materialised.
  */
 ShardOutcome
 runShard(const ExperimentSpec &spec, unsigned shard)
 {
     ShardOutcome out;
+    if (spec.customReplay) {
+        // An in-memory source is borrowed, never copied per grid
+        // point; anything else is gathered once.
+        const auto *vec = dynamic_cast<const tracefile::VectorSource *>(
+            spec.source.get());
+        out.replay =
+            vec ? spec.customReplay(spec, vec->transactions())
+                : spec.customReplay(spec, materialiseStream(spec));
+        return out;
+    }
+    const auto energy = pcm::EnergyModel::withHighStateEnergies(
+        spec.device.s3, spec.device.s4);
+    const auto codec = specCodec(spec, energy);
+    const pcm::WriteUnit unit{energy, pcm::DisturbanceModel()};
+    if (spec.lifetime || spec.leveler.active()) {
+        // Leveled and lifetime replays need one globally consistent
+        // line mapping, so they always run as a single shard
+        // (effectiveShards() == 1) with the spec's own seed, and the
+        // LifetimeEngine drives the device.
+        if (spec.lifetime && !spec.endurance.active())
+            throw std::runtime_error(
+                "lifetime replay requires an endurance config "
+                "(mean per-cell budget > 0)");
+        wearlevel::LifetimeEngine::Options lopts;
+        lopts.leveler = spec.leveler;
+        lopts.endurance = spec.endurance;
+        lopts.seed = spec.seed;
+        lopts.vnr = spec.device.vnr;
+        wearlevel::LifetimeEngine engine(*codec, unit, lopts);
+        out.lifetime =
+            engine.run(materialiseStream(spec), spec.lifetime);
+        out.replay = engine.replayResult();
+        if (spec.device.wearEndurance || spec.keepWearTracker)
+            out.wear.emplace(engine.wearTracker());
+        return out;
+    }
+
+    // The cursor filters (and block-prunes) source-side; records
+    // arrive already restricted to this shard and stream through
+    // Replayer::runBatch in fixed blocks.
+    const auto rep = shardReplayer(spec, *codec, unit, shard, out);
+    tracefile::ShardFilter filter{spec.shards > 1 ? spec.shards : 1,
+                                  shard};
+    if (spec.partition == tracefile::Partition::range &&
+        filter.shards > 1)
+        filter = tracefile::rangePartition(spec.source->addrBounds(),
+                                           filter.shards, shard);
+    auto cursor = spec.source->open(filter);
+    rep->runBatch([&](trace::WriteTransaction &slot) {
+        auto t = cursor->next();
+        if (!t)
+            return false;
+        slot = *t;
+        return true;
+    });
+    out.replay = rep->result();
+    return out;
+}
+
+/**
+ * Replay shards {s : s % groups == group} of a fanned-out spec from
+ * a single synthesis pass: each record is routed by shardOf() into
+ * its shard's block, and each full block goes to that shard's own
+ * replayer. Every shard sees exactly its own records, in stream
+ * order, on its own shardSeed() device — what a per-shard filter
+ * would give it — so results do not depend on the grouping, while
+ * the stream is synthesized once per group instead of once per
+ * shard (synthesis dominates a synthesized shard's busy time).
+ */
+void
+fanOutGroup(const ExperimentSpec &spec, unsigned group, unsigned groups,
+            std::vector<ShardOutcome> &outcomes)
+{
+    constexpr std::size_t block = trace::Replayer::batchLines;
+    const auto energy = pcm::EnergyModel::withHighStateEnergies(
+        spec.device.s3, spec.device.s4);
+    const auto codec = specCodec(spec, energy);
+    const pcm::WriteUnit unit{energy, pcm::DisturbanceModel()};
+
+    // Lane k serves shard group + k * groups.
+    struct Lane
+    {
+        std::unique_ptr<trace::Replayer> rep;
+        std::vector<trace::WriteTransaction> pending;
+    };
+    std::vector<Lane> lanes;
+    for (unsigned s = group; s < outcomes.size(); s += groups) {
+        lanes.push_back(
+            {shardReplayer(spec, *codec, unit, s, outcomes[s]), {}});
+        lanes.back().pending.reserve(block);
+    }
+    trace::synthesize(
+        spec.random, spec.workload, spec.seed, spec.lines,
+        [&](const trace::WriteTransaction &t) {
+            const unsigned s = shardOf(t.lineAddr, spec.shards);
+            if (s % groups != group)
+                return;
+            Lane &lane = lanes[s / groups];
+            lane.pending.push_back(t);
+            if (lane.pending.size() == block) {
+                lane.rep->pushBlock(lane.pending.data(), block);
+                lane.pending.clear();
+            }
+        });
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+        Lane &lane = lanes[k];
+        lane.rep->pushBlock(lane.pending.data(), lane.pending.size());
+        outcomes[group + k * groups].replay = lane.rep->result();
+    }
+}
+
+/**
+ * Run shards {s : s % groups == group} of @p spec into their slots
+ * of @p outcomes: one fan-out pass, or one runShard each. Validation
+ * runs first, so both paths fail alike; any error fails every shard
+ * of the group.
+ */
+void
+runGroup(const ExperimentSpec &spec, unsigned group, unsigned groups,
+         std::vector<ShardOutcome> &outcomes)
+{
     try {
         if (spec.partition == tracefile::Partition::range &&
             !spec.source)
@@ -87,116 +248,15 @@ runShard(const ExperimentSpec &spec, unsigned shard)
                 "partition=range requires a trace source "
                 "(--trace-in): synthesized streams have no stored "
                 "address bounds to slice");
-        if (spec.customReplay) {
-            // An in-memory source is borrowed, never copied per
-            // grid point; anything else is gathered once.
-            const auto *vec =
-                dynamic_cast<const tracefile::VectorSource *>(
-                    spec.source.get());
-            out.replay =
-                vec ? spec.customReplay(spec, vec->transactions())
-                    : spec.customReplay(spec,
-                                        materialiseStream(spec));
-            return out;
-        }
-        const auto energy = pcm::EnergyModel::withHighStateEnergies(
-            spec.device.s3, spec.device.s4);
-        const auto codec = spec.codecFactory
-                               ? spec.codecFactory(energy)
-                               : core::makeCodec(spec.scheme, energy);
-        const pcm::WriteUnit unit{energy, pcm::DisturbanceModel()};
-        if (spec.lifetime || spec.leveler.active()) {
-            // Leveled and lifetime replays need one globally
-            // consistent line mapping, so they always run as a
-            // single shard (effectiveShards() == 1) with the spec's
-            // own seed, and the LifetimeEngine drives the device.
-            if (spec.lifetime && !spec.endurance.active())
-                throw std::runtime_error(
-                    "lifetime replay requires an endurance config "
-                    "(mean per-cell budget > 0)");
-            wearlevel::LifetimeEngine::Options lopts;
-            lopts.leveler = spec.leveler;
-            lopts.endurance = spec.endurance;
-            lopts.seed = spec.seed;
-            lopts.vnr = spec.device.vnr;
-            wearlevel::LifetimeEngine engine(*codec, unit, lopts);
-            out.lifetime =
-                engine.run(materialiseStream(spec), spec.lifetime);
-            out.replay = engine.replayResult();
-            if (spec.device.wearEndurance || spec.keepWearTracker)
-                out.wear.emplace(engine.wearTracker());
-            return out;
-        }
-        trace::Replayer rep(*codec, unit,
-                            shardSeed(spec.seed, shard, spec.shards),
-                            spec.device.vnr);
-        if (spec.device.wearEndurance || spec.keepWearTracker) {
-            out.wear.emplace(codec->cellCount());
-            rep.device().attachWearTracker(&*out.wear);
-        }
-
-        // Every path streams through Replayer::runBatch: the shard's
-        // transactions are gathered into fixed blocks and encoded
-        // via LineCodec::encodeBatch, amortising dispatch without
-        // changing any result (batched == stepped, by construction).
-        if (spec.source) {
-            // The cursor filters (and block-prunes) source-side;
-            // records arrive already restricted to this shard.
-            tracefile::ShardFilter filter{
-                spec.shards > 1 ? spec.shards : 1, shard};
-            if (spec.partition == tracefile::Partition::range &&
-                filter.shards > 1)
-                filter = tracefile::rangePartition(
-                    spec.source->addrBounds(), filter.shards,
-                    shard);
-            auto cursor = spec.source->open(filter);
-            rep.runBatch([&](trace::WriteTransaction &slot) {
-                auto t = cursor->next();
-                if (!t)
-                    return false;
-                slot = *t;
-                return true;
-            });
-        } else if (spec.random) {
-            // Synthesized streams are re-derived per shard and
-            // filtered down to the shard's addresses (synthesis is
-            // cheap relative to replay, and source-independent
-            // shards need no cross-thread coordination).
-            trace::RandomWorkload random(spec.seed);
-            uint64_t consumed = 0;
-            rep.runBatch([&](trace::WriteTransaction &slot) {
-                while (consumed < spec.lines) {
-                    const trace::WriteTransaction &t = random.next();
-                    ++consumed;
-                    if (shardOf(t.lineAddr, spec.shards) == shard) {
-                        slot = t;
-                        return true;
-                    }
-                }
-                return false;
-            });
-        } else {
-            trace::TraceSynthesizer synth(
-                trace::WorkloadProfile::byName(spec.workload),
-                spec.seed);
-            uint64_t consumed = 0;
-            rep.runBatch([&](trace::WriteTransaction &slot) {
-                while (consumed < spec.lines) {
-                    const trace::WriteTransaction &t = synth.next();
-                    ++consumed;
-                    if (shardOf(t.lineAddr, spec.shards) == shard) {
-                        slot = t;
-                        return true;
-                    }
-                }
-                return false;
-            });
-        }
-        out.replay = rep.result();
+        if (fansOut(spec))
+            fanOutGroup(spec, group, groups, outcomes);
+        else
+            for (unsigned s = group; s < outcomes.size(); s += groups)
+                outcomes[s] = runShard(spec, s);
     } catch (const std::exception &err) {
-        out.error = err.what();
+        for (unsigned s = group; s < outcomes.size(); s += groups)
+            outcomes[s].error = err.what();
     }
-    return out;
 }
 
 /** Merge per-shard outcomes (in shard order) into one result. */
@@ -275,12 +335,30 @@ effectiveShards(const ExperimentSpec &spec)
     return spec.shards ? spec.shards : 1;
 }
 
+std::vector<unsigned>
+shardGroups(const std::vector<ExperimentSpec> &specs,
+            unsigned poolThreads)
+{
+    std::size_t fanned = 0;
+    for (const auto &s : specs)
+        fanned += fansOut(s) && effectiveShards(s) > 1;
+    fanned = std::max<std::size_t>(fanned, 1);
+    const auto width = static_cast<unsigned>(
+        std::max<std::size_t>(1, (poolThreads + fanned - 1) / fanned));
+    std::vector<unsigned> groups;
+    groups.reserve(specs.size());
+    for (const auto &s : specs)
+        groups.push_back(groupsOf(s, width));
+    return groups;
+}
+
 ExperimentResult
 runSpecSerial(const ExperimentSpec &spec)
 {
     std::vector<ShardOutcome> outcomes(effectiveShards(spec));
-    for (unsigned s = 0; s < outcomes.size(); ++s)
-        outcomes[s] = runShard(spec, s);
+    const unsigned groups = groupsOf(spec, 1);
+    for (unsigned g = 0; g < groups; ++g)
+        runGroup(spec, g, groups, outcomes);
     return mergeShards(spec, outcomes);
 }
 
@@ -304,12 +382,9 @@ SerialBackend::run(const std::vector<ExperimentSpec> &specs,
     std::vector<ExperimentResult> results;
     results.reserve(specs.size());
     for (const auto &spec : specs) {
-        std::vector<ShardOutcome> outcomes(effectiveShards(spec));
-        for (unsigned s = 0; s < outcomes.size(); ++s) {
-            outcomes[s] = runShard(spec, s);
+        results.push_back(runSpecSerial(spec));
+        for (unsigned s = 0; s < effectiveShards(spec); ++s)
             notify(taskDone);
-        }
-        results.push_back(mergeShards(spec, outcomes));
     }
     return results;
 }
@@ -321,19 +396,24 @@ ThreadBackend::run(const std::vector<ExperimentSpec> &specs,
                    unsigned jobs,
                    const std::function<void()> &taskDone) const
 {
-    // One outcome slot per (spec, shard); tasks only touch their
-    // own slot, so no synchronisation is needed beyond the pool's.
+    // One outcome slot per (spec, shard); a task only touches the
+    // slots of its own shard group, so no synchronisation is needed
+    // beyond the pool's.
     std::vector<std::vector<ShardOutcome>> outcomes(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i)
         outcomes[i].resize(effectiveShards(specs[i]));
 
     {
         ThreadPool pool(jobs);
+        const auto groups = shardGroups(specs, pool.threadCount());
         for (std::size_t i = 0; i < specs.size(); ++i) {
-            for (unsigned s = 0; s < outcomes[i].size(); ++s) {
-                pool.submit([&specs, &outcomes, &taskDone, i, s] {
-                    outcomes[i][s] = runShard(specs[i], s);
-                    notify(taskDone);
+            for (unsigned g = 0; g < groups[i]; ++g) {
+                pool.submit([&specs, &outcomes, &taskDone, i, g,
+                             n = groups[i]] {
+                    runGroup(specs[i], g, n, outcomes[i]);
+                    for (unsigned s = g; s < outcomes[i].size();
+                         s += n)
+                        notify(taskDone);
                 });
             }
         }

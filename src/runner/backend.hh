@@ -6,10 +6,10 @@
  * execution, so every backend produces byte-identical results for
  * the same spec list:
  *
- *  - SerialBackend   runs every (spec, shard) inline on the calling
- *                    thread — the reference implementation;
- *  - ThreadBackend   one thread-pool task per (spec, shard), the
- *                    historical (and default) in-process engine;
+ *  - SerialBackend   runs every spec inline on the calling thread
+ *                    (runSpecSerial) — the reference implementation;
+ *  - ThreadBackend   the default in-process engine: one thread-pool
+ *                    task per (spec, shard group) — see shardGroups();
  *  - ProcessBackend  one child worker process per grid point
  *                    (`wlcrc_sim --worker`): the spec crosses as a
  *                    canonicalSpec() temp file, the result comes
@@ -20,12 +20,19 @@
  *                    cannot cross a process boundary (closure hooks,
  *                    in-memory sources) transparently run inline.
  *
+ * Synthesized specs fan out: one task synthesizes the stream once
+ * and routes each record to the replayer of the shard it belongs
+ * to, instead of every shard re-synthesizing the whole stream and
+ * discarding the records it does not own. Sourced specs keep one
+ * source-side-filtered cursor per shard.
+ *
  * Determinism: a backend only ever changes *where* shards execute.
- * Shard seeds come from the spec (shardSeed), shard merges happen
- * in fixed shard order, and results come back in spec order, so
+ * Every shard replays exactly its own records, in stream order, on
+ * a device seeded from the spec (shardSeed); shard merges happen in
+ * fixed shard order, and results come back in spec order, so
  * serial, thread and process execution of the same grid are
- * byte-identical — tests/backend_test.cc and the golden bench suite
- * enforce it.
+ * byte-identical whatever the shard grouping — tests/backend_test.cc
+ * and the golden bench suite enforce it.
  */
 
 #ifndef WLCRC_RUNNER_BACKEND_HH
@@ -79,7 +86,10 @@ class SerialBackend final : public ExecutionBackend
         const std::function<void()> &taskDone) const override;
 };
 
-/** Thread-pooled execution, one task per (spec, shard). */
+/**
+ * Thread-pooled execution, one task per (spec, shard group);
+ * progress still ticks once per (spec, shard).
+ */
 class ThreadBackend final : public ExecutionBackend
 {
   public:
@@ -117,14 +127,29 @@ class ProcessBackend final : public ExecutionBackend
 };
 
 /**
- * Execute one spec on the calling thread: shards in shard order,
- * merged into one result. The unit every backend is built from —
- * also the body of `wlcrc_sim --worker`.
+ * Execute one spec on the calling thread — one synthesis pass for
+ * synthesized specs, else shards in shard order — merged into one
+ * result. The unit every backend is built from — also the body of
+ * `wlcrc_sim --worker` and `wlcrc_worker`.
  */
 ExperimentResult runSpecSerial(const ExperimentSpec &spec);
 
 /** Shard count @p spec actually executes with (custom replay = 1). */
 unsigned effectiveShards(const ExperimentSpec &spec);
+
+/**
+ * Tasks each spec of @p specs runs as on a pool of @p poolThreads:
+ * spec i's shards split into groups {s : s % G_i == g}, one task per
+ * group. A synthesized spec's group replays all its shards from one
+ * synthesis pass, so it gets only as many groups as keep the pool
+ * busy: G = min(shards, ceil(poolThreads / F)), F being the number
+ * of synthesized multi-shard specs (G = 1 on one thread). Other
+ * specs run one task per shard (G = effectiveShards). Derived, not
+ * configurable — results never depend on it.
+ */
+std::vector<unsigned>
+shardGroups(const std::vector<ExperimentSpec> &specs,
+            unsigned poolThreads);
 
 /**
  * Backend by CLI/env name: "serial", "thread", "process" or

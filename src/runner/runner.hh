@@ -1,10 +1,12 @@
 /**
  * @file
- * ExperimentRunner: executes a list/grid of ExperimentSpecs on a
- * thread pool, one task per (spec, shard). Results are merged in
+ * ExperimentRunner: executes a list/grid of ExperimentSpecs on an
+ * execution backend (the thread pool by default, one task per
+ * (spec, shard group) — see backend.hh). Results are merged in
  * fixed shard order, so the output of a run depends only on the
- * specs — never on the job count or on how the OS schedules the
- * workers. `--jobs 4` and `--jobs 1` produce identical rows.
+ * specs — never on the job count, the shard grouping or how the OS
+ * schedules the workers. `--jobs 4` and `--jobs 1` produce
+ * identical rows.
  */
 
 #ifndef WLCRC_RUNNER_RUNNER_HH
@@ -29,8 +31,8 @@ class CacheStore;
 /** Snapshot of a run's completion state, for progress reporting. */
 struct RunProgress
 {
-    std::size_t tasksDone = 0;  //!< (spec, shard) tasks finished
-    std::size_t tasksTotal = 0; //!< tasks in the whole run
+    std::size_t tasksDone = 0;  //!< progress units finished
+    std::size_t tasksTotal = 0; //!< ExecutionBackend::taskCount()
     double elapsedSec = 0;      //!< wall time since run() started
     double etaSec = 0;          //!< remaining-time estimate
 
@@ -44,8 +46,9 @@ struct RunProgress
 };
 
 /**
- * Invoked after every completed shard task (and once with
- * tasksDone == 0 before the first). Calls are serialised by the
+ * Invoked once per completed progress unit — one per (spec, shard)
+ * in-process, one per grid point out of process — and once with
+ * tasksDone == 0 before the first. Calls are serialised by the
  * runner, but arrive from worker threads — keep the callback cheap
  * and never write to a run's own report stream (stderr is the
  * conventional sink, so stdout stays byte-comparable).

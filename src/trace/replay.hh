@@ -113,6 +113,18 @@ class Replayer
         return total;
     }
 
+    /**
+     * Replay @p n <= batchLines transactions as one block: the push
+     * twin of runBatch() for callers that gather blocks themselves
+     * (the runner's fan-out routes one synthesized stream to several
+     * shard replayers). Results are identical to step()-ing them.
+     */
+    void
+    pushBlock(const WriteTransaction *txns, std::size_t n)
+    {
+        replayBlock(txns, n);
+    }
+
     const ReplayResult &result() const { return result_; }
     pcm::Device &device() { return device_; }
 

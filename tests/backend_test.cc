@@ -11,14 +11,18 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <sstream>
 
+#include "common/simd.hh"
+#include "pcm/disturbance.hh"
 #include "runner/backend.hh"
 #include "runner/grid.hh"
 #include "runner/report.hh"
 #include "runner/runner.hh"
 #include "tracefile/source.hh"
 #include "tracefile/writer.hh"
+#include "trace/workload.hh"
 #include "wlcrc/factory.hh"
 
 namespace
@@ -187,6 +191,245 @@ TEST(Backends, BrokenWorkerBinaryFailsThePointNotTheRun)
         EXPECT_FALSE(r.ok);
         EXPECT_NE(r.error.find("process backend"),
                   std::string::npos);
+    }
+}
+
+// ------------------------------------------------ synthesis fan-out
+
+std::string
+jsonOf(const std::vector<ExperimentResult> &results)
+{
+    std::ostringstream os;
+    runner::JsonReporter().write(os, results);
+    return os.str();
+}
+
+/**
+ * Independent reference for a synthesized spec: every shard draws
+ * the whole stream itself, keeps the records whose address it owns
+ * and step()s them one at a time on its own shardSeed device; the
+ * shards then merge in shard order.
+ */
+ExperimentResult
+perShardReference(const ExperimentSpec &spec)
+{
+    const auto energy = pcm::EnergyModel::withHighStateEnergies(
+        spec.device.s3, spec.device.s4);
+    const auto codec = core::makeCodec(spec.scheme, energy);
+    const pcm::WriteUnit unit{energy, pcm::DisturbanceModel()};
+    const bool tracked =
+        spec.device.wearEndurance || spec.keepWearTracker;
+    ExperimentResult res;
+    res.spec = spec;
+    std::optional<pcm::WearTracker> wear;
+    for (unsigned s = 0; s < std::max(spec.shards, 1u); ++s) {
+        pcm::WearTracker shardWear(codec->cellCount());
+        trace::Replayer rep(*codec, unit,
+                            runner::shardSeed(spec.seed, s,
+                                              spec.shards),
+                            spec.device.vnr);
+        if (tracked)
+            rep.device().attachWearTracker(&shardWear);
+        const auto replayOwn = [&](auto &&gen) {
+            for (uint64_t i = 0; i < spec.lines; ++i) {
+                const trace::WriteTransaction &t = gen.next();
+                if (runner::shardOf(t.lineAddr, spec.shards) == s)
+                    rep.step(t);
+            }
+        };
+        if (spec.random)
+            replayOwn(trace::RandomWorkload(spec.seed));
+        else
+            replayOwn(trace::TraceSynthesizer(
+                trace::WorkloadProfile::byName(spec.workload),
+                spec.seed));
+        res.replay.merge(rep.result());
+        if (tracked && !wear)
+            wear.emplace(shardWear);
+        else if (tracked)
+            wear->merge(shardWear);
+    }
+    if (wear) {
+        res.wear = wear->summary();
+        res.projectedLifetime = wear->projectedLifetime(
+            spec.device.wearEndurance, res.replay.writes);
+        if (spec.keepWearTracker)
+            res.wearTracker =
+                std::make_shared<pcm::WearTracker>(*wear);
+    }
+    res.simdKernel = simd::kernelName(simd::activeKernel());
+    res.ok = true;
+    return res;
+}
+
+ExperimentSpec
+fanSpec(bool random, uint64_t lines = 700)
+{
+    ExperimentSpec spec;
+    spec.scheme = "WLCRC-16";
+    spec.workload = random ? "" : "lesl";
+    spec.random = random;
+    spec.lines = lines;
+    spec.seed = 11;
+    spec.shards = 16;
+    return spec;
+}
+
+std::vector<ExperimentResult>
+runSpecs(std::shared_ptr<const runner::ExecutionBackend> backend,
+         const std::vector<ExperimentSpec> &specs, unsigned jobs)
+{
+    RunnerOptions opts;
+    opts.jobs = jobs;
+    opts.backend = std::move(backend);
+    return ExperimentRunner(opts).run(specs);
+}
+
+TEST(FanOut, ShardGroupsFollowPoolWidth)
+{
+    const auto one = fanSpec(false);
+    using runner::shardGroups;
+    EXPECT_EQ(shardGroups({one}, 1), std::vector<unsigned>{1});
+    EXPECT_EQ(shardGroups({one}, 3), std::vector<unsigned>{3});
+    EXPECT_EQ(shardGroups({one}, 4), std::vector<unsigned>{4});
+    EXPECT_EQ(shardGroups({one}, 64), std::vector<unsigned>{16});
+    // Eight 16-shard points on two threads: one pass per point.
+    EXPECT_EQ(shardGroups(std::vector<ExperimentSpec>(8, one), 2),
+              std::vector<unsigned>(8, 1));
+    EXPECT_EQ(shardGroups({one, fanSpec(true)}, 5),
+              (std::vector<unsigned>{3, 3}));
+
+    // Sourced specs keep one task per shard and do not count
+    // towards the fanned-out width; single-shard specs do neither.
+    auto sourced = one;
+    sourced.workload.clear();
+    sourced.source = std::make_shared<tracefile::VectorSource>(
+        std::make_shared<std::vector<trace::WriteTransaction>>(4));
+    sourced.shards = 5;
+    auto single = one;
+    single.shards = 1;
+    EXPECT_EQ(shardGroups({sourced, one, single}, 4),
+              (std::vector<unsigned>{5, 4, 1}));
+}
+
+TEST(FanOut, MatchesPerShardReferenceAtEveryGrouping)
+{
+    // jobs = G for a lone 16-shard point: 1, 2, 3 (which does not
+    // divide 16) and one group per shard.
+    for (const bool random : {false, true}) {
+        const auto spec = fanSpec(random);
+        const std::string want = jsonOf({perShardReference(spec)});
+        for (const unsigned jobs : {1u, 2u, 3u, 16u}) {
+            EXPECT_EQ(jsonOf(runSpecs(std::make_shared<ThreadBackend>(),
+                                      {spec}, jobs)),
+                      want)
+                << "random=" << random << " jobs=" << jobs;
+        }
+        EXPECT_EQ(jsonOf({runner::runSpecSerial(spec)}), want);
+        EXPECT_EQ(jsonOf(runSpecs(std::make_shared<SerialBackend>(),
+                                  {spec}, 1)),
+                  want);
+    }
+}
+
+TEST(FanOut, ShardsWithoutRecordsStayEmpty)
+{
+    // Fewer writes than shards: most shards never see a record.
+    for (const bool random : {false, true}) {
+        const auto spec = fanSpec(random, 5);
+        const auto got =
+            runSpecs(std::make_shared<ThreadBackend>(), {spec}, 3);
+        ASSERT_TRUE(got[0].ok) << got[0].error;
+        EXPECT_EQ(got[0].replay.writes, 5u);
+        EXPECT_EQ(jsonOf(got), jsonOf({perShardReference(spec)}));
+    }
+}
+
+TEST(FanOut, WearTrackersMergeAsPerShard)
+{
+    auto spec = fanSpec(false);
+    spec.device.wearEndurance = 1000;
+    spec.keepWearTracker = true;
+    const auto want = perShardReference(spec);
+    for (const unsigned jobs : {1u, 3u}) {
+        const auto got =
+            runSpecs(std::make_shared<ThreadBackend>(), {spec}, jobs);
+        EXPECT_EQ(jsonOf(got), jsonOf({want})) << "jobs=" << jobs;
+        ASSERT_TRUE(got[0].wearTracker);
+        EXPECT_EQ(got[0].wearTracker->trackedLines(),
+                  want.wearTracker->trackedLines());
+        EXPECT_EQ(got[0].wearTracker->histogram(),
+                  want.wearTracker->histogram());
+    }
+}
+
+TEST(FanOut, VerifyAndRestoreMatchesPerShard)
+{
+    auto spec = fanSpec(true, 300);
+    spec.device.vnr = true;
+    EXPECT_EQ(
+        jsonOf(runSpecs(std::make_shared<ThreadBackend>(), {spec}, 2)),
+        jsonOf({perShardReference(spec)}));
+}
+
+TEST(FanOut, UnknownWorkloadFailsAlikeOnEveryBackend)
+{
+    auto bad = fanSpec(false, 40);
+    bad.workload = "no-such-workload";
+    bad.shards = 4;
+    const auto serial =
+        runSpecs(std::make_shared<SerialBackend>(), {bad}, 1);
+    ASSERT_FALSE(serial[0].ok);
+    EXPECT_NE(serial[0].error.find("no-such-workload"),
+              std::string::npos)
+        << serial[0].error;
+    for (const unsigned jobs : {1u, 2u, 4u}) {
+        const auto thread =
+            runSpecs(std::make_shared<ThreadBackend>(), {bad}, jobs);
+        EXPECT_FALSE(thread[0].ok);
+        EXPECT_EQ(thread[0].error, serial[0].error) << "jobs=" << jobs;
+    }
+    const auto process = runSpecs(
+        std::make_shared<ProcessBackend>(WLCRC_SIM_BIN), {bad}, 2);
+    EXPECT_FALSE(process[0].ok);
+    EXPECT_EQ(process[0].error, serial[0].error);
+}
+
+TEST(FanOut, ProgressTicksOncePerSpecShard)
+{
+    // Fanned-out, sourced and single-shard points mixed: progress
+    // counts (spec, shard) units whatever the task grouping.
+    auto sourced = fanSpec(false);
+    sourced.workload.clear();
+    sourced.source = std::make_shared<tracefile::VectorSource>(
+        std::make_shared<std::vector<trace::WriteTransaction>>(9));
+    sourced.shards = 3;
+    auto single = fanSpec(true, 50);
+    single.shards = 1;
+    const std::vector<ExperimentSpec> specs = {
+        fanSpec(false, 200), fanSpec(true, 200), sourced, single};
+    const std::vector<std::shared_ptr<const runner::ExecutionBackend>>
+        backends = {std::make_shared<ThreadBackend>(),
+                    std::make_shared<SerialBackend>()};
+    for (const auto &backend : backends) {
+        for (const unsigned jobs : {1u, 3u}) {
+            std::size_t ticks = 0, last = 0, total = 0;
+            RunnerOptions opts;
+            opts.jobs = jobs;
+            opts.backend = backend;
+            opts.progress = [&](const runner::RunProgress &p) {
+                if (p.tasksDone)
+                    ++ticks;
+                last = p.tasksDone;
+                total = p.tasksTotal;
+            };
+            ExperimentRunner(opts).run(specs);
+            EXPECT_EQ(total, backend->taskCount(specs));
+            EXPECT_EQ(total, 16u + 16u + 3u + 1u);
+            EXPECT_EQ(ticks, total)
+                << backend->name() << " jobs=" << jobs;
+            EXPECT_EQ(last, total);
+        }
     }
 }
 

@@ -399,23 +399,14 @@ parse(int argc, char **argv)
 /**
  * Persist the synthesized stream for --trace-out, as a legacy
  * WLCTRC01 dump or an indexed WLCTRC02/03 container. This only writes
- * the file; the runner's shards re-synthesize the identical stream
- * from the seed, so the reported source stays the workload name.
+ * the file; the runner synthesizes the identical stream from the
+ * seed on its own, so the reported source stays the workload name.
  */
 void
 persistTrace(const Options &o)
 {
     auto emit = [&](auto &&write) {
-        if (o.random) {
-            trace::RandomWorkload random(o.seed);
-            for (uint64_t i = 0; i < o.lines; ++i)
-                write(random.next());
-        } else {
-            trace::TraceSynthesizer synth(
-                trace::WorkloadProfile::byName(o.workload), o.seed);
-            for (uint64_t i = 0; i < o.lines; ++i)
-                write(synth.next());
-        }
+        trace::synthesize(o.random, o.workload, o.seed, o.lines, write);
     };
     if (o.traceFormat == "v2" || o.traceFormat == "v3") {
         tracefile::WriterOptions wopts;
