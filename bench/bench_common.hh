@@ -15,8 +15,8 @@
  * WLCRC_BENCH_JOBS (worker threads; 0 = all cores),
  * WLCRC_BENCH_SHARDS (replay shards per grid point; results depend
  * on this, not on jobs), WLCRC_BENCH_PROGRESS (stderr ETA line;
- * default on), WLCRC_BENCH_BACKEND (thread | serial | process;
- * process also needs WLCRC_WORKER_BIN pointing at wlcrc_sim) and
+ * default on), WLCRC_BENCH_BACKEND (thread | serial | process |
+ * remote; the last two need WLCRC_WORKER_BIN naming wlcrc_worker) and
  * WLCRC_BENCH_CACHE_DIR (result-cache directory; a re-run of an
  * unchanged sweep replays nothing — docs/caching.md). Backends and
  * caching never change stdout; benchMain() prints the cache
@@ -186,8 +186,9 @@ makeRunner(const std::string &label,
     if (envU64("WLCRC_BENCH_PROGRESS", 1))
         opts.progress = runner::stderrProgress(label);
     // Backends relocate work without changing results; "process"
-    // fans grid points out to WLCRC_WORKER_BIN child processes
-    // (factory/custom-replay specs transparently stay in-process).
+    // and "remote" fan grid points out to spawned WLCRC_WORKER_BIN
+    // workers (factory/custom-replay specs transparently stay
+    // in-process).
     const std::string backend =
         envString("WLCRC_BENCH_BACKEND", "thread");
     if (backend != "thread")

@@ -1,26 +1,15 @@
 #include "backend.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
-
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "common/simd.hh"
 #include "pcm/disturbance.hh"
 #include "pcm/energy_model.hh"
-#include "runner/json_mini.hh"
 #include "runner/remote.hh"
 #include "wearlevel/lifetime.hh"
-#include "runner/report.hh"
 #include "runner/runner.hh"
-#include "runner/spec_codec.hh"
 #include "runner/thread_pool.hh"
 #include "tracefile/source.hh"
 #include "trace/workload.hh"
@@ -296,21 +285,6 @@ mergeShards(const ExperimentSpec &spec,
     return res;
 }
 
-/** Single-quote @p s for /bin/sh (popen command lines). */
-std::string
-shellQuote(const std::string &s)
-{
-    std::string out = "'";
-    for (const char c : s) {
-        if (c == '\'')
-            out += "'\\''";
-        else
-            out += c;
-    }
-    out += "'";
-    return out;
-}
-
 void
 notify(const std::function<void()> &taskDone)
 {
@@ -427,135 +401,6 @@ ThreadBackend::run(const std::vector<ExperimentSpec> &specs,
     return results;
 }
 
-// ----------------------------------------------------------- process
-
-ProcessBackend::ProcessBackend(std::string workerBinary)
-    : worker_(std::move(workerBinary))
-{
-    if (worker_.empty())
-        throw std::invalid_argument(
-            "ProcessBackend: worker binary path is empty");
-}
-
-std::size_t
-ProcessBackend::taskCount(
-    const std::vector<ExperimentSpec> &specs) const
-{
-    return specs.size();
-}
-
-ExperimentResult
-ProcessBackend::runWorker(const ExperimentSpec &spec) const
-{
-    namespace fs = std::filesystem;
-
-    ExperimentResult res;
-    res.spec = spec;
-
-    // Unique per (pid, run-lifetime counter): concurrent runs and
-    // concurrent tasks never collide.
-    static std::atomic<uint64_t> counter{0};
-    std::ostringstream name;
-    name << "wlcrc-worker-" << ::getpid() << '-'
-         << counter.fetch_add(1);
-    const fs::path specPath =
-        fs::temp_directory_path() / (name.str() + ".spec");
-    const fs::path errPath =
-        fs::temp_directory_path() / (name.str() + ".stderr");
-
-    try {
-        {
-            std::ofstream out(specPath, std::ios::binary);
-            out << canonicalSpec(spec);
-            // A truncated spec file must fail here, not replay the
-            // wrong point in the child (parseSpec also rejects
-            // missing fields as a second line of defence).
-            if (!out.flush())
-                throw std::runtime_error(
-                    "cannot write worker spec file " +
-                    specPath.string());
-        }
-
-        // The child's JSON report (stdout) is the whole protocol;
-        // replay failures come back in-band as ok=false objects.
-        // Its stderr goes to a side file so a protocol-level death
-        // (unreadable spec, bad binary) keeps its root cause.
-        const std::string cmd = shellQuote(worker_) + " --worker " +
-                                shellQuote(specPath.string()) +
-                                " 2>" +
-                                shellQuote(errPath.string());
-        FILE *pipe = ::popen(cmd.c_str(), "r");
-        if (!pipe)
-            throw std::runtime_error("popen failed for worker " +
-                                     worker_);
-        std::string out;
-        char buf[4096];
-        std::size_t n;
-        while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0)
-            out.append(buf, n);
-        const int status = ::pclose(pipe);
-        if (status != 0) {
-            std::ostringstream what;
-            if (WIFEXITED(status))
-                what << "worker exited with status "
-                     << WEXITSTATUS(status);
-            else if (WIFSIGNALED(status))
-                what << "worker killed by signal "
-                     << WTERMSIG(status);
-            else
-                what << "worker failed (wait status " << status
-                     << ")";
-            std::ifstream errIn(errPath, std::ios::binary);
-            std::stringstream childErr;
-            childErr << errIn.rdbuf();
-            if (!childErr.str().empty())
-                what << "; stderr: " << childErr.str();
-            what << " (cmd: " << cmd << ")";
-            throw std::runtime_error(what.str());
-        }
-
-        const JsonValue doc = parseJson(out);
-        if (doc.type != JsonValue::Type::Array ||
-            doc.array.size() != 1)
-            throw std::runtime_error(
-                "worker report is not a 1-element JSON array");
-        res = readResultObject(doc.array[0], spec);
-    } catch (const std::exception &err) {
-        res = ExperimentResult{};
-        res.spec = spec;
-        res.error = std::string("process backend: ") + err.what();
-    }
-
-    std::error_code ec;
-    fs::remove(specPath, ec); // best effort
-    fs::remove(errPath, ec);
-    return res;
-}
-
-std::vector<ExperimentResult>
-ProcessBackend::run(const std::vector<ExperimentSpec> &specs,
-                    unsigned jobs,
-                    const std::function<void()> &taskDone) const
-{
-    std::vector<ExperimentResult> results(specs.size());
-    ThreadPool pool(jobs);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        pool.submit([this, &specs, &results, &taskDone, i] {
-            // Closure hooks and in-memory streams cannot cross the
-            // process boundary; they run inline so a mixed grid
-            // still completes (the fallback is equivalent — every
-            // backend computes identical results).
-            if (processSerializable(specs[i]))
-                results[i] = runWorker(specs[i]);
-            else
-                results[i] = runSpecSerial(specs[i]);
-            notify(taskDone);
-        });
-    }
-    pool.wait();
-    return results;
-}
-
 // -------------------------------------------------------------- free
 
 std::shared_ptr<const ExecutionBackend>
@@ -566,21 +411,15 @@ makeBackend(const std::string &name,
         return std::make_shared<SerialBackend>();
     if (name == "thread")
         return std::make_shared<ThreadBackend>();
-    if (name == "process") {
+    // "process" is a name for the same engine: a head on an
+    // ephemeral loopback port that spawns its own workers.
+    if (name == "process" || name == "remote") {
         if (workerBinary.empty())
             throw std::invalid_argument(
-                "backend 'process' needs a worker binary "
-                "(wlcrc_sim passes itself; benches read "
-                "WLCRC_WORKER_BIN)");
-        return std::make_shared<ProcessBackend>(workerBinary);
-    }
-    if (name == "remote") {
-        if (workerBinary.empty())
-            throw std::invalid_argument(
-                "backend 'remote' needs a worker binary "
-                "(wlcrc_worker; benches read WLCRC_WORKER_BIN) — "
-                "for externally managed workers construct "
-                "RemoteBackend directly");
+                "backend '" + name +
+                "' needs a worker binary (wlcrc_worker; benches "
+                "read WLCRC_WORKER_BIN) — for externally managed "
+                "workers construct RemoteBackend directly");
         RemoteBackendOptions opts;
         opts.workerBinary = workerBinary;
         return std::make_shared<RemoteBackend>(std::move(opts));

@@ -10,15 +10,11 @@
  *                    (runSpecSerial) — the reference implementation;
  *  - ThreadBackend   the default in-process engine: one thread-pool
  *                    task per (spec, shard group) — see shardGroups();
- *  - ProcessBackend  one child worker process per grid point
- *                    (`wlcrc_sim --worker`): the spec crosses as a
- *                    canonicalSpec() temp file, the result comes
- *                    back as the JSON report on the child's stdout.
- *                    Grids too big for one address space — or whose
- *                    points might crash — run unchanged; a dying
- *                    worker fails its own point only. Specs that
- *                    cannot cross a process boundary (closure hooks,
- *                    in-memory sources) transparently run inline.
+ *  - RemoteBackend   (runner/remote.hh) the one cross-process
+ *                    engine: a head that serves grid points to
+ *                    wlcrc_worker processes, spawned locally or
+ *                    connecting from elsewhere. makeBackend's
+ *                    "process" is a name for it with local workers.
  *
  * Synthesized specs fan out: one task synthesizes the stream once
  * and routes each record to the replayer of the shard it belongs
@@ -30,7 +26,7 @@
  * Every shard replays exactly its own records, in stream order, on
  * a device seeded from the spec (shardSeed); shard merges happen in
  * fixed shard order, and results come back in spec order, so
- * serial, thread and process execution of the same grid are
+ * serial, thread and remote execution of the same grid are
  * byte-identical whatever the shard grouping — tests/backend_test.cc
  * and the golden bench suite enforce it.
  */
@@ -55,7 +51,7 @@ class ExecutionBackend
   public:
     virtual ~ExecutionBackend() = default;
 
-    /** Stable identifier: "serial", "thread", "process", ... */
+    /** Stable identifier: "serial", "thread" or "remote". */
     virtual const char *name() const = 0;
 
     /**
@@ -99,38 +95,11 @@ class ThreadBackend final : public ExecutionBackend
         const std::function<void()> &taskDone) const override;
 };
 
-/** Child-process fan-out via the `--worker` protocol. */
-class ProcessBackend final : public ExecutionBackend
-{
-  public:
-    /**
-     * @param workerBinary executable implementing `--worker FILE`
-     *        (normally wlcrc_sim; it passes its own argv[0]).
-     */
-    explicit ProcessBackend(std::string workerBinary);
-
-    const char *name() const override { return "process"; }
-    /** One progress unit per grid point (child = whole spec). */
-    std::size_t
-    taskCount(const std::vector<ExperimentSpec> &specs) const
-        override;
-    std::vector<ExperimentResult>
-    run(const std::vector<ExperimentSpec> &specs, unsigned jobs,
-        const std::function<void()> &taskDone) const override;
-
-    const std::string &workerBinary() const { return worker_; }
-
-  private:
-    ExperimentResult runWorker(const ExperimentSpec &spec) const;
-
-    std::string worker_;
-};
-
 /**
  * Execute one spec on the calling thread — one synthesis pass for
  * synthesized specs, else shards in shard order — merged into one
  * result. The unit every backend is built from — also the body of
- * `wlcrc_sim --worker` and `wlcrc_worker`.
+ * `wlcrc_worker`.
  */
 ExperimentResult runSpecSerial(const ExperimentSpec &spec);
 
@@ -153,10 +122,10 @@ shardGroups(const std::vector<ExperimentSpec> &specs,
 
 /**
  * Backend by CLI/env name: "serial", "thread", "process" or
- * "remote" (the latter two require @p workerBinary — wlcrc_sim for
- * process, wlcrc_worker for remote; remote spawns its workers
- * locally at the first run and listens on an ephemeral loopback
- * port, see runner/remote.hh for externally managed clusters).
+ * "remote". The last two are one engine: a RemoteBackend head on an
+ * ephemeral loopback port that spawns the run's job count of
+ * @p workerBinary (wlcrc_worker) at the first run — see
+ * runner/remote.hh for externally managed clusters.
  * @throws std::invalid_argument on unknown names or a missing
  *         worker binary.
  */

@@ -1,11 +1,12 @@
 /**
  * @file
  * Minimal strict JSON reader for the runner's machine-to-machine
- * paths: parsing worker-process reports (ProcessBackend) and result
- * cache entries back into ExperimentResults. The repo deliberately
- * has no external JSON dependency; this parser supports exactly the
- * documents the runner itself emits (objects, arrays, strings with
- * the reporter's escape set, numbers, booleans, null) and throws
+ * paths: parsing worker results (the remote head's WRK1 Result
+ * frames) and result cache entries back into ExperimentResults.
+ * The repo deliberately has no external JSON dependency; this
+ * parser supports exactly the documents the runner itself emits
+ * (objects, arrays, strings with the reporter's escape set,
+ * numbers, booleans, null) and throws
  * std::runtime_error on anything malformed — a corrupt cache entry
  * must surface as a cache miss, never as a half-parsed result.
  *

@@ -158,6 +158,7 @@ struct RemoteBackend::Impl
         } state = State::Pending;
         Clock::time_point issuedAt{};
         uint64_t holder = 0; //!< conn id, meaningful while Issued
+        unsigned charges = 0; //!< holder-caused requeues so far
         ExperimentResult result;
     };
 
@@ -195,7 +196,8 @@ struct RemoteBackend::Impl
     std::vector<std::thread> connThreads;
     uint64_t nextConnId = 0;
 
-    std::vector<pid_t> spawned;
+    std::vector<pid_t> spawned; //!< live (not yet reaped) workers
+    unsigned respawnOwed = 0;   //!< one per charged requeue
     bool stopped = false;
 
     void
@@ -209,6 +211,68 @@ struct RemoteBackend::Impl
     {
         std::lock_guard lock(mutex);
         countLocked(name);
+    }
+
+    /**
+     * Mark @p p Done with @p res. Lock held; returns the progress
+     * callback for the caller to hand to runCallback() once the
+     * lock is released (empty when the run registered none).
+     */
+    std::function<void()>
+    completeLocked(Point &p, ExperimentResult res)
+    {
+        p.result = std::move(res);
+        p.state = Point::State::Done;
+        ++active->done;
+        if (!active->taskDone || !*active->taskDone)
+            return {};
+        ++callbacksInFlight;
+        return *active->taskDone;
+    }
+
+    /**
+     * Run a callback from completeLocked(). It runs outside the
+     * queue lock — it may block or call back into the backend — and
+     * run() waits for callbacksInFlight to drain, so a callback
+     * never outlives the run() call that registered it. The caller
+     * notifies `cv` afterwards.
+     */
+    void
+    runCallback(const std::function<void()> &done)
+    {
+        if (!done)
+            return;
+        {
+            std::lock_guard cb(callbackMutex);
+            done();
+        }
+        std::lock_guard lock(mutex);
+        --callbacksInFlight;
+    }
+
+    /**
+     * Charge point @p id one attempt for a requeue its holder
+     * caused, and owe the pool one respawn. Within kPointAttempts
+     * the point goes back on the queue; the last charge completes
+     * it in-band as a poison point. Lock held; returns the callback
+     * for runCallback().
+     */
+    std::function<void()>
+    chargeLocked(std::size_t id)
+    {
+        Point &p = active->points[id];
+        ++respawnOwed;
+        if (++p.charges < kPointAttempts) {
+            p.state = Point::State::Pending;
+            active->pending.push_back(id);
+            return {};
+        }
+        countLocked("poison-point");
+        ExperimentResult res;
+        res.spec = *p.spec;
+        res.error = "remote backend: point lost " +
+                    std::to_string(kPointAttempts) + " workers";
+        return completeLocked(p, std::move(res));
     }
 
     void
@@ -363,7 +427,6 @@ struct RemoteBackend::Impl
         }
 
         bool malformed = false;
-        bool completed = false;
         std::function<void()> done;
         {
             std::lock_guard lock(mutex);
@@ -393,11 +456,9 @@ struct RemoteBackend::Impl
             }
             if (malformed) {
                 countLocked("malformed-result");
-                if (p.state == Point::State::Issued) {
-                    p.state = Point::State::Pending;
-                    active->pending.push_back(
-                        static_cast<std::size_t>(id));
-                }
+                if (p.state == Point::State::Issued &&
+                    p.holder == c->id)
+                    done = chargeLocked(static_cast<std::size_t>(id));
             } else {
                 // A reissued point sits in the queue as a Pending
                 // entry; its original worker's result winning here
@@ -415,34 +476,15 @@ struct RemoteBackend::Impl
                 // not a worker fault to retry around.
                 if (!res.ok)
                     countLocked("worker-reported-error");
-                p.result = std::move(res);
-                p.state = Point::State::Done;
-                ++active->done;
-                completed = true;
-                if (active->taskDone && *active->taskDone) {
-                    done = *active->taskDone;
-                    ++callbacksInFlight;
-                }
+                done = completeLocked(p, std::move(res));
             }
         }
+        runCallback(done);
+        cv.notify_all();
         if (malformed) {
             sendError(c->fd, "malformed-result");
             return false;
         }
-        // The progress callback runs outside the queue lock — it
-        // may block or call back into the backend — and run()
-        // waits for callbacksInFlight to drain, so a callback
-        // never outlives the run() call that registered it.
-        if (done) {
-            {
-                std::lock_guard cb(callbackMutex);
-                done();
-            }
-            std::lock_guard lock(mutex);
-            --callbacksInFlight;
-        }
-        if (completed)
-            cv.notify_all();
         return true;
     }
 
@@ -574,20 +616,20 @@ struct RemoteBackend::Impl
         dropConn(c);
     }
 
-    /** Requeue a closing connection's issued points, close its fd. */
+    /** Charge a closing connection's issued points, close its fd. */
     void
     dropConn(const std::shared_ptr<Conn> &c)
     {
+        std::vector<std::function<void()>> done;
         {
             std::lock_guard lock(mutex);
             if (active) {
                 for (const std::size_t id : c->held) {
-                    Point &p = active->points[id];
+                    const Point &p = active->points[id];
                     if (p.state == Point::State::Issued &&
                         p.holder == c->id) {
-                        p.state = Point::State::Pending;
-                        active->pending.push_back(id);
                         countLocked("worker-died");
+                        done.push_back(chargeLocked(id));
                     }
                 }
             }
@@ -600,42 +642,70 @@ struct RemoteBackend::Impl
         // (possibly a snapshot inside stop()) lets go, so the fd
         // number cannot be recycled under a concurrent shutdown.
         ::shutdown(c->fd, SHUT_RDWR);
+        for (const auto &d : done)
+            runCallback(d);
         cv.notify_all();
+    }
+
+    /**
+     * Fork one local worker. Lock held: it covers `spawned` against
+     * a stop() (destructor) racing an in-flight run(). A failed
+     * fork spawns nothing; superviseLocked() then sees one worker
+     * fewer, and run() fails in-band once none is left.
+     */
+    void
+    spawnOneLocked()
+    {
+        const std::string connectArg =
+            "127.0.0.1:" + std::to_string(port);
+        const pid_t pid = ::fork();
+        if (pid < 0)
+            return;
+        if (pid == 0) {
+            // The head's own stdout is the byte-compared report
+            // stream — a child must not share it even though
+            // wlcrc_worker is stdout-silent by design.
+            ::dup2(STDERR_FILENO, STDOUT_FILENO);
+            ::execlp(opts.workerBinary.c_str(),
+                     opts.workerBinary.c_str(), "--connect",
+                     connectArg.c_str(), static_cast<char *>(nullptr));
+            ::_exit(127);
+        }
+        spawned.push_back(pid);
     }
 
     void
     spawnWorkers(unsigned jobs)
     {
-        // The lock covers `spawned` against a stop() (destructor)
-        // racing an in-flight run() from another thread.
         std::lock_guard lock(mutex);
         if (opts.workerBinary.empty() || !spawned.empty())
             return;
         unsigned n = opts.spawnWorkers;
         if (n == 0)
             n = jobs ? jobs : std::thread::hardware_concurrency();
-        n = std::max(1u, n);
-        const std::string connectArg =
-            "127.0.0.1:" + std::to_string(port);
-        for (unsigned i = 0; i < n; ++i) {
-            const pid_t pid = ::fork();
-            if (pid < 0)
-                throw std::runtime_error("fork() failed: " +
-                                         std::string(
-                                             std::strerror(errno)));
-            if (pid == 0) {
-                // The head's own stdout is the byte-compared
-                // report stream — a child must not share it even
-                // though wlcrc_worker is stdout-silent by design.
-                ::dup2(STDERR_FILENO, STDOUT_FILENO);
-                ::execlp(opts.workerBinary.c_str(),
-                         opts.workerBinary.c_str(), "--connect",
-                         connectArg.c_str(),
-                         static_cast<char *>(nullptr));
-                ::_exit(127);
-            }
-            spawned.push_back(pid);
-        }
+        for (unsigned i = 0; i < std::max(1u, n); ++i)
+            spawnOneLocked();
+    }
+
+    /**
+     * Reap spawned workers that exited and respawn one per charged
+     * requeue (so respawns stay within points x kPointAttempts).
+     * Lock held. @return whether anyone can still serve the queue:
+     * a spawned worker alive or an open connection. A head that
+     * spawns nothing always answers yes — external workers may
+     * connect at any time.
+     */
+    bool
+    superviseLocked()
+    {
+        if (opts.workerBinary.empty())
+            return true;
+        std::erase_if(spawned, [](pid_t pid) {
+            return ::waitpid(pid, nullptr, WNOHANG) != 0;
+        });
+        for (; respawnOwed > 0; --respawnOwed)
+            spawnOneLocked();
+        return !spawned.empty() || !conns.empty();
     }
 
     std::vector<ExperimentResult>
@@ -693,14 +763,21 @@ struct RemoteBackend::Impl
             // Draining callbacksInFlight before returning keeps
             // the caller's taskDone (and whatever it captures)
             // alive for every invocation.
-            while ((r.done < r.points.size() ||
+            bool live = true;
+            while (((r.done < r.points.size() && live) ||
                     callbacksInFlight > 0) &&
                    !finFlag) {
                 scanStragglersLocked();
+                if (live && !superviseLocked()) {
+                    live = false;
+                    countLocked("no-live-workers");
+                    continue;
+                }
                 cv.wait_for(lock,
                             std::chrono::milliseconds(100));
             }
             active = nullptr;
+            respawnOwed = 0; // respawns serve this run only
             for (std::size_t k = 0; k < r.points.size(); ++k) {
                 Point &p = r.points[k];
                 if (p.state == Point::State::Done) {
@@ -709,8 +786,12 @@ struct RemoteBackend::Impl
                     ExperimentResult &res = results[slot[k]];
                     res.spec = *p.spec;
                     res.ok = false;
-                    res.error = "remote backend stopped before "
-                                "the point completed";
+                    res.error =
+                        live ? "remote backend stopped before the "
+                               "point completed"
+                             : "remote backend: no live workers "
+                               "(spawned workers exited or never "
+                               "started)";
                 }
             }
         }

@@ -38,19 +38,28 @@
  *    loser is dropped ("duplicate-result"). Results are
  *    deterministic, so first-wins cannot change bytes.
  *  - A well-formed Result with ok=false is authoritative: the point
- *    failed in the replay path and is NOT retried — identical to
- *    ProcessBackend's in-band failure semantics.
+ *    failed in the replay path and is NOT retried.
  *  - A malformed frame or Result never takes the head down: named
  *    error count, best-effort Error frame, connection closed,
  *    issued points requeued.
+ *  - Each requeue a point's holder causes (it died holding the
+ *    point, or answered with a malformed Result) charges the point
+ *    one of kPointAttempts attempts; a straggler reissue does not.
+ *    The last charge completes the point in-band as ok=false
+ *    ("poison-point"), so a point that crashes every worker cannot
+ *    stall the sweep.
+ *  - A head that spawned its own workers reaps them, respawns one
+ *    per charge, and fails the remaining points in-band once none
+ *    is alive and no connection is open ("no-live-workers"). A head
+ *    with external workers only waits for one to connect.
  *
  * Determinism: like every backend, RemoteBackend only relocates
  * work. Workers run runSpecSerial() on a parseSpec() round-trip of
  * the head's canonicalSpec() text — the identical computation the
  * serial backend performs in-process — and results return through
- * the same writeResultObject()/readResultObject() codec the process
- * backend uses, so serial/thread/process/remote are byte-identical
- * (tests/remote_backend_test.cc enforces the full feature matrix).
+ * the writeResultObject()/readResultObject() codec, so
+ * serial/thread/remote are byte-identical (tests/remote_backend_test.cc
+ * enforces the full feature matrix).
  */
 
 #ifndef WLCRC_RUNNER_REMOTE_HH
@@ -76,6 +85,8 @@ inline constexpr uint32_t workMagic = 0x314B5257;
 inline constexpr uint32_t workProtocolVersion = 1;
 /** Upper bound on payloadBytes; larger frames are rejected. */
 inline constexpr uint32_t maxWorkPayload = 1u << 20;
+/** Charged requeues after which a point fails as a poison point. */
+inline constexpr unsigned kPointAttempts = 3;
 
 /** WRK1 frame types (header `type`). */
 enum class WorkFrame : uint8_t
@@ -132,7 +143,7 @@ struct RemoteBackendOptions
  *
  * Specs that cannot cross a process boundary (closure hooks,
  * in-memory sources) transparently run inline on the calling
- * thread, exactly like ProcessBackend.
+ * thread.
  */
 class RemoteBackend final : public ExecutionBackend
 {
@@ -163,7 +174,8 @@ class RemoteBackend final : public ExecutionBackend
     /**
      * Named fault counters accumulated since construction:
      * "worker-died", "reissued", "duplicate-result",
-     * "malformed-result", "worker-reported-error", "bad-hello",
+     * "malformed-result", "poison-point", "no-live-workers",
+     * "worker-reported-error", "bad-hello",
      * "bad-magic", "bad-frame-type", "oversized-frame",
      * "truncated-frame", "bad-cache-hash", "cache-put-failed".
      * Absent key = zero (docs/distributed.md tabulates them).

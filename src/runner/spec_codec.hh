@@ -3,8 +3,8 @@
  * Canonical ExperimentSpec serialization — the single stable text
  * form behind both scaling features of the runner:
  *
- *  - the worker protocol: ProcessBackend writes canonicalSpec() to a
- *    temp file and `wlcrc_sim --worker` parses it back with
+ *  - the worker protocol: the remote head sends canonicalSpec() in a
+ *    WRK1 Work frame and wlcrc_worker parses it back with
  *    parseSpec(), so a grid point crosses the process boundary with
  *    no ambiguity;
  *  - result caching: specHash() is an FNV-1a 64 over the canonical
@@ -29,7 +29,7 @@
 namespace wlcrc::runner
 {
 
-/** First line of every canonical spec / worker spec file. */
+/** First line of every canonical spec text. */
 inline constexpr char specMagic[] = "wlcrc-spec-v1";
 
 /**

@@ -4,8 +4,6 @@
 #include <array>
 #include <cassert>
 
-#include "common/env.hh"
-
 namespace wlcrc::trace
 {
 
@@ -30,9 +28,7 @@ Replayer::Replayer(const coset::LineCodec &codec,
                    const pcm::WriteUnit &unit, uint64_t seed,
                    bool verify_n_restore)
     : codec_(codec), device_(codec.cellCount(), unit, seed),
-      vnr_(verify_n_restore),
-      prefetch_(envU64("WLCRC_PREFETCH", 0) != 0),
-      batch_(batchLines), targets_(batchLines)
+      vnr_(verify_n_restore), batch_(batchLines), targets_(batchLines)
 {
 }
 
@@ -101,20 +97,6 @@ Replayer::replayIndependent(const WriteTransaction *txns,
         auto &stored = primedLine(txns[i]);
         lines[i] = &stored;
         jobs[i] = {&txns[i].newData, stored.data(), &targets_[i]};
-    }
-    if (prefetch_) {
-        // Pull every job's stored line toward L1 before the encode
-        // loop walks them; a line is at most ~300 one-byte cells, so
-        // a prefetch per 64-byte chunk covers it. Purely a memory-
-        // system hint — results are identical with the flag off
-        // (see BatchPrefetch* in tests/encode_equivalence_test.cc).
-        for (std::size_t i = 0; i < count; ++i) {
-            const auto *base =
-                reinterpret_cast<const char *>(jobs[i].stored);
-            const std::size_t bytes = lines[i]->size();
-            for (std::size_t off = 0; off < bytes; off += 64)
-                __builtin_prefetch(base + off, 0 /* read */);
-        }
     }
     codec_.encodeBatch(jobs.data(), count, scratch_);
     for (std::size_t i = 0; i < count; ++i)

@@ -145,9 +145,6 @@ class Replayer
     pcm::Device device_;
     ReplayResult result_;
     bool vnr_;
-    //! WLCRC_PREFETCH=1: software-prefetch each batch's stored lines
-    //! ahead of encodeBatch. A hint only; never changes results.
-    bool prefetch_;
     coset::EncodeScratch scratch_;
     pcm::TargetLine staging_;
     std::vector<WriteTransaction> batch_;

@@ -184,9 +184,8 @@ class TransactionSource
 
     /**
      * On-disk path backing this source, or "" for in-memory
-     * streams. A spec is process-serializable (ProcessBackend,
-     * wlcrc_sim --worker) only if its source has a path a child
-     * process can re-open.
+     * streams. A spec is process-serializable (remote workers) only
+     * if its source has a path a worker process can re-open.
      */
     virtual std::string filePath() const { return {}; }
 

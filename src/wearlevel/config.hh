@@ -3,8 +3,8 @@
  * Configuration records of the wear-leveling subsystem.
  *
  * Both records travel inside ExperimentSpec, so they need a compact,
- * canonical text form for the spec codec (process-backend worker
- * files and cache keys): format*() emits it, parse*() accepts it
+ * canonical text form for the spec codec (remote Work frames and
+ * cache keys): format*() emits it, parse*() accepts it
  * plus the abbreviated forms the CLI flags take. Defaults are chosen
  * so a default-constructed record means "feature off" and the spec
  * codec can omit the key entirely, keeping existing canonical specs

@@ -3,9 +3,10 @@
  * Execution-backend equivalence: serial, thread and process
  * execution of the same grid must produce byte-identical reports —
  * a backend relocates work, it never changes results. The process
- * cases exercise the real `wlcrc_sim --worker` protocol end to end
- * (spec temp file out, JSON report back), including in-band error
- * propagation and the inline fallback for closure-bearing specs.
+ * cases run makeBackend("process"), a remote head that spawns real
+ * wlcrc_worker processes, end to end: in-band error propagation,
+ * the inline fallback for closure-bearing specs and a worker binary
+ * that cannot start.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "pcm/disturbance.hh"
 #include "runner/backend.hh"
 #include "runner/grid.hh"
+#include "runner/remote.hh"
 #include "runner/report.hh"
 #include "runner/runner.hh"
 #include "tracefile/source.hh"
@@ -34,7 +36,6 @@ using runner::ExperimentResult;
 using runner::ExperimentRunner;
 using runner::ExperimentSpec;
 using runner::makeBackend;
-using runner::ProcessBackend;
 using runner::RunnerOptions;
 using runner::SerialBackend;
 using runner::ThreadBackend;
@@ -58,6 +59,13 @@ smallGrid()
         .shards(3);
 }
 
+/** The process backend: a head spawning wlcrc_worker processes. */
+std::shared_ptr<const runner::ExecutionBackend>
+processBackend(const std::string &worker = WLCRC_WORKER_BIN)
+{
+    return makeBackend("process", worker);
+}
+
 std::string
 runWith(std::shared_ptr<const runner::ExecutionBackend> backend,
         const ExperimentGrid &grid, unsigned jobs = 2)
@@ -76,10 +84,7 @@ TEST(Backends, SerialThreadAndProcessAreByteIdentical)
     EXPECT_EQ(runWith(std::make_shared<SerialBackend>(), grid),
               thread);
     EXPECT_EQ(runWith(nullptr, grid), thread) << "default backend";
-    EXPECT_EQ(
-        runWith(std::make_shared<ProcessBackend>(WLCRC_SIM_BIN),
-                grid),
-        thread);
+    EXPECT_EQ(runWith(processBackend(), grid), thread);
 }
 
 TEST(Backends, ProcessBackendReplaysTraceFilesByteIdentically)
@@ -103,18 +108,17 @@ TEST(Backends, ProcessBackendReplaysTraceFilesByteIdentically)
             .sources({tracefile::openTraceSource(path.string())})
             .seed(5)
             .shards(4);
-    EXPECT_EQ(
-        runWith(std::make_shared<ProcessBackend>(WLCRC_SIM_BIN),
-                grid),
-        runWith(std::make_shared<ThreadBackend>(), grid));
+    EXPECT_EQ(runWith(processBackend(), grid),
+              runWith(std::make_shared<ThreadBackend>(), grid));
 }
 
 TEST(Backends, LifetimeSweepIsBackendAndJobCountInvariant)
 {
     // A lifetime sweep (leveler x endurance over a workload) runs
     // single-sharded but must still be byte-identical wherever and
-    // however parallel it executes — including forked wlcrc_sim
-    // workers, whose JSON report carries the full lifetime block.
+    // however parallel it executes — including spawned
+    // wlcrc_worker processes, whose JSON result carries the full
+    // lifetime block.
     const auto grid =
         ExperimentGrid()
             .schemes({"Baseline", "WLCRC-16"})
@@ -129,10 +133,7 @@ TEST(Backends, LifetimeSweepIsBackendAndJobCountInvariant)
         runWith(std::make_shared<ThreadBackend>(), grid);
     EXPECT_EQ(runWith(std::make_shared<SerialBackend>(), grid),
               thread);
-    EXPECT_EQ(
-        runWith(std::make_shared<ProcessBackend>(WLCRC_SIM_BIN),
-                grid),
-        thread);
+    EXPECT_EQ(runWith(processBackend(), grid), thread);
     EXPECT_EQ(runWith(std::make_shared<ThreadBackend>(), grid, 1),
               runWith(std::make_shared<ThreadBackend>(), grid, 4));
 }
@@ -148,7 +149,7 @@ TEST(Backends, ProcessBackendPropagatesWorkerErrorsInBand)
 
     RunnerOptions opts;
     opts.jobs = 2;
-    opts.backend = std::make_shared<ProcessBackend>(WLCRC_SIM_BIN);
+    opts.backend = processBackend();
     const auto results =
         ExperimentRunner(opts).run({good, bad});
     ASSERT_EQ(results.size(), 2u);
@@ -173,25 +174,31 @@ TEST(Backends, ProcessBackendFallsBackInlineForClosureSpecs)
                           .lines(50)
                           .seed(2)
                           .shards(2);
-    EXPECT_EQ(
-        runWith(std::make_shared<ProcessBackend>(WLCRC_SIM_BIN),
-                grid),
-        runWith(std::make_shared<ThreadBackend>(), grid));
+    EXPECT_EQ(runWith(processBackend(), grid),
+              runWith(std::make_shared<ThreadBackend>(), grid));
 }
 
 TEST(Backends, BrokenWorkerBinaryFailsThePointNotTheRun)
 {
+    // Every spawned worker exits at once (exec fails): run() must
+    // return with each point failed in-band, not wait forever.
+    const auto backend = processBackend("/no/such/worker");
     RunnerOptions opts;
-    opts.jobs = 1;
-    opts.backend =
-        std::make_shared<ProcessBackend>("/no/such/worker");
+    opts.jobs = 2;
+    opts.backend = backend;
     const auto results =
         ExperimentRunner(opts).run(smallGrid().expand());
+    ASSERT_EQ(results.size(), smallGrid().expand().size());
     for (const auto &r : results) {
         EXPECT_FALSE(r.ok);
-        EXPECT_NE(r.error.find("process backend"),
-                  std::string::npos);
+        EXPECT_NE(r.error.find("no live workers"), std::string::npos)
+            << r.error;
     }
+    const auto counts =
+        dynamic_cast<const runner::RemoteBackend &>(*backend)
+            .errorCounts();
+    EXPECT_EQ(counts.count("no-live-workers"), 1u);
+    EXPECT_FALSE(counts.count("worker-died"));
 }
 
 // ------------------------------------------------ synthesis fan-out
@@ -389,8 +396,7 @@ TEST(FanOut, UnknownWorkloadFailsAlikeOnEveryBackend)
         EXPECT_FALSE(thread[0].ok);
         EXPECT_EQ(thread[0].error, serial[0].error) << "jobs=" << jobs;
     }
-    const auto process = runSpecs(
-        std::make_shared<ProcessBackend>(WLCRC_SIM_BIN), {bad}, 2);
+    const auto process = runSpecs(processBackend(), {bad}, 2);
     EXPECT_FALSE(process[0].ok);
     EXPECT_EQ(process[0].error, serial[0].error);
 }
@@ -439,8 +445,9 @@ TEST(Backends, MakeBackendValidatesNames)
               std::string("serial"));
     EXPECT_EQ(makeBackend("thread")->name(),
               std::string("thread"));
-    EXPECT_EQ(makeBackend("process", "/bin/true")->name(),
-              std::string("process"));
+    // "process" names the remote engine, not a second path.
+    EXPECT_EQ(makeBackend("process", WLCRC_WORKER_BIN)->name(),
+              std::string("remote"));
     EXPECT_THROW(makeBackend("process"), std::invalid_argument);
     EXPECT_THROW(makeBackend("gpu"), std::invalid_argument);
 }

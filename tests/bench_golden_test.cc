@@ -18,7 +18,7 @@
  *
  * Execution backends and result caching extend the same guarantee:
  * every bench must match its golden under WLCRC_BENCH_BACKEND=serial
- * too, the process backend (child wlcrc_sim workers) is pinned to
+ * too, the process backend (spawned wlcrc_workers) is pinned to
  * the golden for a representative scheme sweep, and a cached re-run
  * must be byte-identical while replaying zero points.
  *
@@ -251,7 +251,7 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param.name);
     });
 
-// The process backend forks real wlcrc_sim workers; pin a full
+// The process backend spawns real wlcrc_workers; pin a full
 // scheme×workload sweep to the same golden bytes. One
 // representative bench keeps suite runtime sane — backend_test
 // covers the protocol itself at unit scale.
@@ -266,7 +266,7 @@ TEST(bench_backends, Fig08ProcessBackendMatchesGolden)
     const std::string out = capture(
         benchCommand("fig08_write_energy", 4,
                      "WLCRC_BENCH_BACKEND=process "
-                     "WLCRC_WORKER_BIN=" WLCRC_SIM_BIN),
+                     "WLCRC_WORKER_BIN=" WLCRC_WORKER_BIN),
         exit_code);
     ASSERT_EQ(exit_code, 0) << out;
     EXPECT_EQ(out, expected);
@@ -275,7 +275,7 @@ TEST(bench_backends, Fig08ProcessBackendMatchesGolden)
 // Lifetime replays always execute single-sharded (a leveler's
 // mapping spans the whole address space), but they still cross the
 // process boundary like any other spec: the sweep must reproduce
-// its golden bytes under forked wlcrc_sim workers too.
+// its golden bytes under spawned wlcrc_workers too.
 TEST(bench_backends, LifetimeSweepProcessBackendMatchesGolden)
 {
     if (std::getenv("WLCRC_UPDATE_GOLDEN"))
@@ -287,7 +287,7 @@ TEST(bench_backends, LifetimeSweepProcessBackendMatchesGolden)
     const std::string out = capture(
         benchCommand("lifetime_sweep", 4,
                      "WLCRC_BENCH_BACKEND=process "
-                     "WLCRC_WORKER_BIN=" WLCRC_SIM_BIN),
+                     "WLCRC_WORKER_BIN=" WLCRC_WORKER_BIN),
         exit_code);
     ASSERT_EQ(exit_code, 0) << out;
     EXPECT_EQ(out, expected);

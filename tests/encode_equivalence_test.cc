@@ -264,35 +264,6 @@ TEST(EncodeEquivalence, BatchedReplayMatchesStepped)
     }
 }
 
-TEST(EncodeEquivalence, BatchPrefetchIsIdentityOnResults)
-{
-    // WLCRC_PREFETCH=1 issues software prefetches for each batch's
-    // stored lines before encodeBatch. It is a pure memory-system
-    // hint, so a prefetching replay must be bit-identical to the
-    // default. The flag is sampled at Replayer construction.
-    const auto txns = makeStream(400, 15);
-    const pcm::EnergyModel energy;
-    const pcm::WriteUnit unit{energy, pcm::DisturbanceModel()};
-    for (const char *name : {"WLCRC-16", "DIN", "6cosets"}) {
-        const auto codec = core::makeCodec(name, energy);
-        const auto plain = replayStepped(*codec, unit, txns);
-
-        ASSERT_EQ(::setenv("WLCRC_PREFETCH", "1", 1), 0);
-        trace::Replayer prefetching(*codec, unit, 7);
-        ASSERT_EQ(::unsetenv("WLCRC_PREFETCH"), 0);
-
-        std::size_t at = 0;
-        prefetching.runBatch([&](trace::WriteTransaction &slot) {
-            if (at >= txns.size())
-                return false;
-            slot = txns[at++];
-            return true;
-        });
-        expectSameResult(plain, prefetching.result(),
-                         std::string(name) + "/prefetch");
-    }
-}
-
 TEST(EncodeEquivalence, BatchedReplayMatchesWithVnR)
 {
     // VnR consumes extra rng draws per disturbed write; batching

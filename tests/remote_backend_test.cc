@@ -7,8 +7,9 @@
  * remote execution, at one worker and at four. The fault half
  * proves the sweep's bytes survive a hostile cluster: workers
  * SIGKILLed mid-point, workers hanging past the reissue deadline,
- * in-band ok=false results, and clients speaking garbage — each
- * mapped to a named error counter, never to a wrong or missing row.
+ * in-band ok=false results, clients speaking garbage, and points
+ * that kill every worker they reach — each mapped to a named error
+ * counter, never to a wrong or missing row, and never to a hang.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <thread>
 
@@ -85,10 +87,11 @@ runWith(std::shared_ptr<const runner::ExecutionBackend> backend,
 
 /** Head that spawns its own local workers. */
 std::shared_ptr<RemoteBackend>
-spawningHead(unsigned workers, double reissueSec = 30.0)
+spawningHead(unsigned workers, double reissueSec = 30.0,
+             const std::string &workerBinary = WLCRC_WORKER_BIN)
 {
     RemoteBackendOptions opts;
-    opts.workerBinary = WLCRC_WORKER_BIN;
+    opts.workerBinary = workerBinary;
     opts.spawnWorkers = workers;
     opts.reissueSec = reissueSec;
     return std::make_shared<RemoteBackend>(std::move(opts));
@@ -182,6 +185,25 @@ sendResultFor(int fd, uint64_t id, const std::string &specText)
                    p.data(), p.size());
 }
 
+/**
+ * head.run(@p specs) that cannot hang the suite: if it has not
+ * returned within a minute, fail the test and stop() the head, which
+ * fails whatever is left in-band and releases run().
+ */
+std::vector<ExperimentResult>
+runOrStop(RemoteBackend &head, const std::vector<ExperimentSpec> &specs,
+          unsigned jobs)
+{
+    auto sweep = std::async(std::launch::async,
+                            [&] { return head.run(specs, jobs, {}); });
+    if (sweep.wait_for(std::chrono::minutes(1)) !=
+        std::future_status::ready) {
+        ADD_FAILURE() << "run() did not return; stopping the head";
+        head.stop();
+    }
+    return sweep.get();
+}
+
 /** Wait (bounded) until @p counter appears in the head's counts. */
 bool
 waitForCounter(const RemoteBackend &head, const std::string &name,
@@ -208,8 +230,8 @@ TEST(RemoteBackend, MatchesEveryOtherBackendOnTheSameGrid)
     EXPECT_EQ(runWith(std::make_shared<runner::SerialBackend>(),
                       grid),
               thread);
-    EXPECT_EQ(runWith(std::make_shared<runner::ProcessBackend>(
-                          WLCRC_SIM_BIN),
+    EXPECT_EQ(runWith(runner::makeBackend("process",
+                                          WLCRC_WORKER_BIN),
                       grid),
               thread);
     EXPECT_EQ(runWith(spawningHead(1), grid), thread)
@@ -325,6 +347,34 @@ TEST(RemoteBackend, HeadCliRunIsByteIdenticalToThreadCli)
     EXPECT_EQ(rcRemote, 0);
     EXPECT_EQ(remoteOut, threadOut);
     EXPECT_FALSE(remoteOut.empty());
+}
+
+TEST(RemoteBackend, SimdChoiceReachesSpawnedWorkers)
+{
+    // wlcrc_sim --simd exports the kernel; a spawned worker must
+    // replay with it, not re-resolve its own default.
+    const std::string base =
+        "WLCRC_WORKER_BIN=" + std::string(WLCRC_WORKER_BIN) + " " +
+        WLCRC_SIM_BIN +
+        " --scheme Baseline --scheme WLCRC-16 --workload lesl"
+        " --lines 60 --json --simd scalar";
+    for (const std::string backend :
+         {"--backend process", "--backend remote --workers 2"}) {
+        int rc = 0;
+        const std::string out = test::captureStdout(
+            base + " " + backend + " 2>/dev/null", rc);
+        EXPECT_EQ(rc, 0) << backend;
+        const auto count = [&](const std::string &needle) {
+            std::size_t n = 0;
+            for (auto at = out.find(needle); at != std::string::npos;
+                 at = out.find(needle, at + 1))
+                ++n;
+            return n;
+        };
+        EXPECT_EQ(count("\"simd\":"), 2u) << backend << "\n" << out;
+        EXPECT_EQ(count("\"simd\":\"scalar\""), 2u)
+            << backend << "\n" << out;
+    }
 }
 
 // ----------------------------------------------------------------
@@ -627,6 +677,89 @@ TEST(RemoteFaults, LateResultOfReissuedPointRetiresItsQueueEntry)
     EXPECT_EQ(completed.load(), 2u);
     const auto counts = head->errorCounts();
     EXPECT_FALSE(counts.count("duplicate-result"));
+    head->stop();
+}
+
+TEST(RemoteFaults, PoisonPointFailsInBandAfterItsAttemptBudget)
+{
+    // A fake worker that disconnects whenever it is handed point P
+    // and honestly answers every other point: P must exhaust its
+    // budget and fail in-band while the rest of the sweep completes.
+    const auto specs = smallGrid().expand();
+    const auto expect = ExperimentRunner(RunnerOptions{}).run(specs);
+    const uint64_t poison = 1;
+    auto head = bareHead();
+
+    std::thread fake([&] {
+        int fd = rawConnect(head->port());
+        sendHello(fd);
+        for (std::size_t works = 0;
+             works < specs.size() - 1 + runner::kPointAttempts;
+             ++works) {
+            const auto [id, text] = pullWork(fd);
+            if (id == poison) {
+                ::close(fd);
+                fd = rawConnect(head->port());
+                sendHello(fd);
+            } else {
+                sendResultFor(fd, id, text);
+            }
+        }
+        ::close(fd);
+    });
+    const auto results = runOrStop(*head, specs, 1);
+    fake.join();
+
+    ASSERT_EQ(results.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (i == poison) {
+            EXPECT_FALSE(results[i].ok);
+            EXPECT_NE(results[i].error.find("point lost 3 workers"),
+                      std::string::npos)
+                << results[i].error;
+        } else {
+            EXPECT_EQ(csvOf({results[i]}), csvOf({expect[i]}))
+                << "point " << i;
+        }
+    }
+    const auto counts = head->errorCounts();
+    EXPECT_EQ(counts.at("worker-died"), runner::kPointAttempts);
+    EXPECT_EQ(counts.at("poison-point"), 1u);
+    head->stop();
+}
+
+TEST(RemoteFaults, EveryWorkerDyingFailsEveryPointAsPoison)
+{
+    // Every spawned worker SIGKILLs itself on its first point, so
+    // each point takes down kPointAttempts workers (each one
+    // respawned) and then fails in-band — run() must return.
+    namespace fs = std::filesystem;
+    const fs::path wrapper =
+        fs::path(::testing::TempDir()) / "wlcrc_poison_worker.sh";
+    {
+        std::ofstream out(wrapper);
+        out << "#!/bin/sh\n"
+            << "exec '" << WLCRC_WORKER_BIN
+            << "' \"$@\" --kill-after 1\n";
+    }
+    fs::permissions(wrapper, fs::perms::owner_all,
+                    fs::perm_options::add);
+
+    auto head = spawningHead(2, 30.0, wrapper.string());
+    const auto specs = smallGrid().expand();
+    const auto results = runOrStop(*head, specs, 2);
+    ASSERT_EQ(results.size(), specs.size());
+    for (const auto &r : results) {
+        EXPECT_FALSE(r.ok);
+        EXPECT_NE(r.error.find("point lost 3 workers"),
+                  std::string::npos)
+            << r.error;
+    }
+    const auto counts = head->errorCounts();
+    EXPECT_EQ(counts.at("worker-died"),
+              specs.size() * runner::kPointAttempts);
+    EXPECT_EQ(counts.at("poison-point"), specs.size());
+    EXPECT_FALSE(counts.count("no-live-workers"));
     head->stop();
 }
 

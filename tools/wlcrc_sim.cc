@@ -35,15 +35,16 @@
  *                          like --shards
  *   --decode-ahead <N>     stage N compressed blocks ahead of the
  *                          replay on a background decode thread
- *                          (sets $WLCRC_DECODE_AHEAD, so process-
- *                          backend workers inherit it; 0 = decode
+ *                          (sets $WLCRC_DECODE_AHEAD, so spawned
+ *                          wlcrc_workers inherit it; 0 = decode
  *                          synchronously; results are identical
  *                          either way)
  *   --backend <name>       execution backend: thread (default),
- *                          serial, process (child wlcrc_sim
- *                          workers) or remote (this process becomes
- *                          the head node of a distributed sweep;
- *                          results identical for all)
+ *                          serial, remote (this process becomes
+ *                          the head node of a distributed sweep) or
+ *                          process (a remote head that spawns --jobs
+ *                          local wlcrc_workers); results identical
+ *                          for all
  *   --listen <port>        (remote) listen on 127.0.0.1:<port> for
  *                          wlcrc_worker connections; 0 or absent
  *                          picks an ephemeral port. The bound port
@@ -79,12 +80,9 @@
  *   --simd <kernel>        encode kernel: auto (default), scalar,
  *                          avx2 or neon; results are bit-identical
  *                          for every choice (also via $WLCRC_SIMD;
- *                          propagated to process-backend workers)
+ *                          exported to spawned wlcrc_workers)
  *   --json                 report JSON instead of CSV
  *   --progress             stderr progress/ETA line while running
- *   --worker <specfile>    internal: run one serialized spec and
- *                          print its JSON report (ProcessBackend's
- *                          child protocol — see docs/cli.md)
  *   --help                 print usage and exit 0
  *
  * Output: one row/object per scheme with the paper's three metrics.
@@ -98,7 +96,6 @@
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -110,7 +107,6 @@
 #include "runner/report.hh"
 #include "runner/result_cache.hh"
 #include "runner/runner.hh"
-#include "runner/spec_codec.hh"
 #include "tracefile/block_codec.hh"
 #include "tracefile/source.hh"
 #include "tracefile/writer.hh"
@@ -140,7 +136,6 @@ struct Options
     unsigned workers = 0;
     double reissueSec = 30.0;
     bool remoteFlags = false; //!< any --listen/--workers/--reissue-sec
-    std::string workerSpec;
     std::vector<std::string> levelers;
     std::string endurance;
     std::string wearCsv;
@@ -178,8 +173,7 @@ usage(const char *argv0)
         "[--s3 pJ] [--s4 pJ] [--json] [--progress]\n"
         "          [--simd auto|scalar|avx2|neon]\n"
         "          [--leveler CFG]... [--endurance CFG] "
-        "[--lifetime]\n"
-        "          [--worker SPECFILE] [--help]\n",
+        "[--lifetime] [--help]\n",
         argv0);
 }
 
@@ -273,9 +267,6 @@ parse(int argc, char **argv)
             o.remoteFlags = true;
         } else if (a == "--no-cache") {
             o.noCache = true;
-        } else if (a == "--worker") {
-            if (const char *v = next())
-                o.workerSpec = v;
         } else if (a == "--help") {
             o.help = true;
         } else if (a == "--random") {
@@ -326,7 +317,7 @@ parse(int argc, char **argv)
             return std::nullopt;
         }
     }
-    if (o.help || !o.workerSpec.empty())
+    if (o.help)
         return o; // no stream/scheme validation applies
     if (o.schemes.empty())
         o.schemes.push_back("WLCRC-16");
@@ -431,30 +422,19 @@ persistTrace(const Options &o)
 }
 
 /**
- * Child side of the ProcessBackend protocol: run the serialized
- * spec on this process (serially — the parent owns parallelism
- * across points) and print the standard one-element JSON report.
- * Replay failures travel in-band as ok=false objects with exit 0;
- * a non-zero exit means the protocol itself broke (unreadable or
- * malformed spec file).
+ * The wlcrc_worker a head spawns: $WLCRC_WORKER_BIN (so tests and CI
+ * can point at a specific build), else the one next to @p argv0.
  */
-int
-workerMain(const std::string &specFile)
+std::string
+workerBinary(const std::string &argv0)
 {
-    std::ifstream in(specFile, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "error: cannot read spec file %s\n",
-                     specFile.c_str());
-        return 2;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    const runner::ExperimentSpec spec =
-        runner::parseSpec(text.str());
-    const runner::ExperimentResult res =
-        runner::runSpecSerial(spec);
-    runner::JsonReporter().write(std::cout, {res});
-    return 0;
+    std::string bin = envString("WLCRC_WORKER_BIN", "");
+    if (!bin.empty())
+        return bin;
+    const auto slash = argv0.rfind('/');
+    return (slash == std::string::npos ? std::string(".")
+                                       : argv0.substr(0, slash)) +
+           "/wlcrc_worker";
 }
 
 } // namespace
@@ -473,7 +453,7 @@ main(int argc, char **argv)
     try {
         if (!opts->simd.empty()) {
             // Resolve now (validates the name, throws on typos) and
-            // export the concrete kernel so process-backend workers
+            // export the concrete kernel so spawned wlcrc_workers
             // inherit the same choice.
             simd::setKernelFromText(opts->simd);
             ::setenv("WLCRC_SIMD",
@@ -481,7 +461,7 @@ main(int argc, char **argv)
         }
         if (!opts->decodeAhead.empty()) {
             // Validate here (envU64 would otherwise throw deep in a
-            // cursor open) and export, so process-backend workers
+            // cursor open) and export, so spawned wlcrc_workers
             // stage the same depth.
             char *end = nullptr;
             std::strtoull(opts->decodeAhead.c_str(), &end, 10);
@@ -494,8 +474,6 @@ main(int argc, char **argv)
             ::setenv("WLCRC_DECODE_AHEAD",
                      opts->decodeAhead.c_str(), 1);
         }
-        if (!opts->workerSpec.empty())
-            return workerMain(opts->workerSpec);
         runner::DeviceConfig device;
         device.s3 = opts->s3;
         device.s4 = opts->s4;
@@ -550,26 +528,16 @@ main(int argc, char **argv)
             localStore =
                 std::make_shared<runner::DirCacheStore>(cacheDir);
 
+        // "process" is the same head with no flags of its own: an
+        // ephemeral port and one spawned worker per job.
         std::shared_ptr<runner::RemoteBackend> remote;
-        if (opts->backend == "remote") {
+        if (opts->backend == "remote" || opts->backend == "process") {
             runner::RemoteBackendOptions bopts;
             bopts.port =
                 static_cast<uint16_t>(opts->listenPort);
             bopts.reissueSec = opts->reissueSec;
-            if (opts->workers > 0) {
-                // $WLCRC_WORKER_BIN overrides the sibling default,
-                // so tests and CI can point at a specific build.
-                std::string bin =
-                    envString("WLCRC_WORKER_BIN", "");
-                if (bin.empty()) {
-                    const std::string self = argv[0];
-                    const auto slash = self.rfind('/');
-                    bin = (slash == std::string::npos
-                               ? std::string(".")
-                               : self.substr(0, slash)) +
-                          "/wlcrc_worker";
-                }
-                bopts.workerBinary = bin;
+            if (opts->workers > 0 || opts->backend == "process") {
+                bopts.workerBinary = workerBinary(argv[0]);
                 bopts.spawnWorkers = opts->workers;
             }
             // The head serves its own cache store to the cluster,
@@ -584,8 +552,7 @@ main(int argc, char **argv)
                          static_cast<unsigned>(remote->port()));
             ropts.backend = remote;
         } else if (opts->backend != "thread") {
-            ropts.backend =
-                runner::makeBackend(opts->backend, argv[0]);
+            ropts.backend = runner::makeBackend(opts->backend);
         }
 
         runner::RunStats stats;

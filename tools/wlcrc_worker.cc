@@ -49,7 +49,8 @@ usage(std::FILE *out)
         "                       own connection (default 1)\n"
         "  --poll-ms MS         idle poll interval (default 50)\n"
         "  --simd KERNEL        encode kernel: auto scalar avx2\n"
-        "                       neon (default auto)\n"
+        "                       neon (default $WLCRC_SIMD, else\n"
+        "                       auto)\n"
         "  --kill-after N       fault injection: SIGKILL self on\n"
         "                       receiving the Nth point\n"
         "  --hang-after N       fault injection: hang forever on\n"
@@ -61,7 +62,7 @@ struct Options
 {
     wlcrc::runner::WorkerOptions worker;
     unsigned loops = 1;
-    std::string simd = "auto";
+    std::string simd; //!< empty = $WLCRC_SIMD, as the head exports
     bool help = false;
 };
 
@@ -134,7 +135,8 @@ main(int argc, char **argv)
         return 0;
     }
     try {
-        simd::setKernelFromText(opts.simd);
+        if (!opts.simd.empty())
+            simd::setKernelFromText(opts.simd);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "wlcrc_worker: %s\n", e.what());
         return 2;
