@@ -1,9 +1,12 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over byte
- * buffers. Used by the WLCTRC02 trace container to checksum record
- * blocks and the footer index, so corruption is detected at read
- * time instead of silently skewing replay metrics.
+ * buffers, computed slice-by-8. Every trace container uses it: the
+ * WLCTRC02 and WLCTRC03 record blocks (raw and stored CRCs), their
+ * footer indexes and trailers, serve's capture files (written through
+ * the same writer), and the content digests that key sourced sweep
+ * specs and the result cache. So corruption is detected at read time
+ * instead of silently skewing replay metrics.
  */
 
 #ifndef WLCRC_COMMON_CRC32_HH

@@ -50,16 +50,12 @@ Device::writeLine(uint64_t addr, std::vector<State> &stored,
 {
     assert(target.size() == cellsPerLine_);
     assert(&stored == &line(addr));
-    if (wear_) {
-        CellMask updated;
-        updated.reset(cellsPerLine_);
-        for (unsigned c = 0; c < cellsPerLine_; ++c)
-            if (stored[c] != target[c])
-                updated.set(c);
-        wear_->recordLine(addr, updated);
-    }
+    CellMask updated;
     const WriteStats st =
-        unit_.program(stored, target, rng_, verify_n_restore);
+        unit_.program(stored, target, rng_, verify_n_restore,
+                      wear_ ? &updated : nullptr);
+    if (wear_)
+        wear_->recordLine(addr, updated);
     totals_ += st;
     ++writes_;
     return st;

@@ -1,5 +1,7 @@
 #include "wear.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -15,10 +17,9 @@ WearSummary::imbalance() const
                : 0.0;
 }
 
-void
-WearTracker::recordProgram(uint64_t addr, unsigned cell)
+std::vector<uint32_t> &
+WearTracker::lineFor(uint64_t addr)
 {
-    assert(cell < cellsPerLine_);
     auto it = wear_.find(addr);
     if (it == wear_.end()) {
         it = wear_
@@ -26,7 +27,25 @@ WearTracker::recordProgram(uint64_t addr, unsigned cell)
                           std::vector<uint32_t>(cellsPerLine_, 0))
                  .first;
     }
-    ++it->second[cell];
+    return it->second;
+}
+
+void
+WearTracker::bump(uint32_t &w)
+{
+    if (!w)
+        ++touched_;
+    sumSquares_ += 2 * static_cast<uint64_t>(w) + 1;
+    ++w;
+    ++total_;
+    max_ = std::max<uint64_t>(max_, w);
+}
+
+void
+WearTracker::recordProgram(uint64_t addr, unsigned cell)
+{
+    assert(cell < cellsPerLine_);
+    bump(lineFor(addr)[cell]);
 }
 
 void
@@ -34,9 +53,13 @@ WearTracker::recordLine(uint64_t addr,
                         const std::vector<bool> &updated)
 {
     assert(updated.size() == cellsPerLine_);
+    std::vector<uint32_t> *cells = nullptr;
     for (unsigned c = 0; c < cellsPerLine_; ++c) {
-        if (updated[c])
-            recordProgram(addr, c);
+        if (!updated[c])
+            continue;
+        if (!cells)
+            cells = &lineFor(addr);
+        bump((*cells)[c]);
     }
 }
 
@@ -44,9 +67,17 @@ void
 WearTracker::recordLine(uint64_t addr, const CellMask &updated)
 {
     assert(updated.size() == cellsPerLine_);
-    for (unsigned c = 0; c < cellsPerLine_; ++c) {
-        if (updated.test(c))
-            recordProgram(addr, c);
+    std::vector<uint32_t> *cells = nullptr;
+    for (unsigned w = 0; w < updated.words(); ++w) {
+        uint64_t bits = updated.word(w);
+        if (bits && !cells)
+            cells = &lineFor(addr);
+        while (bits) {
+            const unsigned c =
+                w * 64 + static_cast<unsigned>(std::countr_zero(bits));
+            bits &= bits - 1;
+            bump((*cells)[c]);
+        }
     }
 }
 
@@ -63,13 +94,21 @@ WearTracker::merge(const WearTracker &o)
             std::to_string(cellsPerLine_) + " vs " +
             std::to_string(o.cellsPerLine_) + ")");
     for (const auto &[addr, cells] : o.wear_) {
-        auto it = wear_.find(addr);
-        if (it == wear_.end()) {
-            wear_.emplace(addr, cells);
-            continue;
+        std::vector<uint32_t> &mine = lineFor(addr);
+        for (unsigned c = 0; c < cellsPerLine_; ++c) {
+            if (!cells[c])
+                continue;
+            const uint64_t before = mine[c];
+            mine[c] += cells[c];
+            const uint64_t after = mine[c];
+            if (!before)
+                ++touched_;
+            total_ += cells[c];
+            sumSquares_ +=
+                static_cast<unsigned __int128>(after) * after -
+                static_cast<unsigned __int128>(before) * before;
+            max_ = std::max(max_, after);
         }
-        for (unsigned c = 0; c < cellsPerLine_; ++c)
-            it->second[c] += cells[c];
     }
 }
 
@@ -91,23 +130,14 @@ WearSummary
 WearTracker::summary() const
 {
     WearSummary s;
-    double sumSquares = 0.0;
-    for (const auto &[addr, cells] : wear_) {
-        for (const uint32_t w : cells) {
-            if (!w)
-                continue;
-            ++s.touchedCells;
-            s.totalWrites += w;
-            sumSquares += static_cast<double>(w) * w;
-            s.maxCellWrites =
-                std::max<uint64_t>(s.maxCellWrites, w);
-        }
-    }
+    s.touchedCells = touched_;
+    s.totalWrites = total_;
+    s.maxCellWrites = max_;
     if (s.touchedCells) {
         s.avgCellWrites = static_cast<double>(s.totalWrites) /
                           static_cast<double>(s.touchedCells);
-        const double meanSq =
-            sumSquares / static_cast<double>(s.touchedCells);
+        const double meanSq = static_cast<double>(sumSquares_) /
+                              static_cast<double>(s.touchedCells);
         const double variance =
             std::max(0.0, meanSq - s.avgCellWrites * s.avgCellWrites);
         s.covCellWrites = std::sqrt(variance) / s.avgCellWrites;

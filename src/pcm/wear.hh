@@ -7,6 +7,11 @@
  * the cell-level view a memory vendor would track). A WearTracker
  * records how many RESET programs each cell of each line received
  * and projects device lifetime under a cell endurance budget.
+ *
+ * Recording costs what the write changes, not what the device holds:
+ * one hash lookup per recorded line, and running totals (touched
+ * cells, total programs, maximum, exact sum of squares) that make
+ * summary() O(1).
  */
 
 #ifndef WLCRC_PCM_WEAR_HH
@@ -72,7 +77,17 @@ class WearTracker
     /** Per-cell counts of one line, or nullptr if never written. */
     const std::vector<uint32_t> *lineWear(uint64_t addr) const;
 
-    /** Aggregate wear statistics. */
+    /**
+     * Aggregate wear statistics, in O(1) from running totals.
+     *
+     * The sum of squared per-cell counts is kept as an exact 128-bit
+     * integer (a w -> w+1 step adds 2w+1) and converted to double
+     * once, so avg and CoV come from exact sums. A rescan that adds
+     * w*w into a double in hash-map order is exact, and therefore
+     * bit-identical to this, while its partial sums stay below 2^53;
+     * past that this value is the correctly rounded one and, unlike
+     * the rescan, does not depend on map order.
+     */
     WearSummary summary() const;
 
     /**
@@ -100,8 +115,20 @@ class WearTracker
     unsigned cellsPerLine() const { return cellsPerLine_; }
 
   private:
+    /** The line's counts, created (all zero) on first use. */
+    std::vector<uint32_t> &lineFor(uint64_t addr);
+
+    /** Count one program of a cell whose count is @p w. */
+    void bump(uint32_t &w);
+
     unsigned cellsPerLine_;
     std::unordered_map<uint64_t, std::vector<uint32_t>> wear_;
+    // Running totals over every cell, kept current by each record
+    // and merge.
+    uint64_t touched_ = 0;
+    uint64_t total_ = 0;
+    uint64_t max_ = 0;
+    unsigned __int128 sumSquares_ = 0;
 };
 
 } // namespace wlcrc::pcm

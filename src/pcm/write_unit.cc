@@ -68,10 +68,12 @@ applyDifferential(std::vector<State> &stored, const TargetLine &target,
 
 WriteStats
 WriteUnit::program(std::vector<State> &stored, const TargetLine &target,
-                   Rng &rng, bool verify_n_restore) const
+                   Rng &rng, bool verify_n_restore,
+                   CellMask *updatedOut) const
 {
     WriteStats st;
-    CellMask updated;
+    CellMask local;
+    CellMask &updated = updatedOut ? *updatedOut : local;
     applyDifferential(stored, target, energy_, st, updated);
 
     // First-pass disturbance: this is what the paper's figures count.

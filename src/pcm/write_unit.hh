@@ -161,10 +161,14 @@ class WriteUnit
      * @param target  desired states + aux mask (sizes must match).
      * @param rng     randomness for disturbance sampling.
      * @param verify_n_restore  run the VnR repair loop.
+     * @param updatedOut  if set, receives the first-pass update mask
+     *                    (the cells the differential write
+     *                    programmed; VnR repairs are not in it).
      */
     WriteStats program(std::vector<State> &stored,
                        const TargetLine &target, Rng &rng,
-                       bool verify_n_restore = false) const;
+                       bool verify_n_restore = false,
+                       CellMask *updatedOut = nullptr) const;
 
     /**
      * Deterministic variant: disturbance errors are accumulated as

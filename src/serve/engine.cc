@@ -18,14 +18,6 @@ static_assert(
     std::is_trivially_copyable_v<trace::ReplayResult>,
     "ReplayResult must stay trivially copyable for the seqlock");
 
-namespace
-{
-
-/** Recompute a bank's wear CoV this often (writes). */
-constexpr uint64_t wearCovEvery = 1024;
-
-} // namespace
-
 BankEngine::BankEngine(const EngineConfig &cfg)
     : cfg_(cfg),
       codec_(core::makeCodec(
@@ -123,6 +115,10 @@ BankEngine::publish(Bank &bank) const
                 sizeof bank.snap);
     std::atomic_thread_fence(std::memory_order_release);
     bank.seq.store(s + 2, std::memory_order_release);
+    // summary() is O(1), so the CoV is current at every publish.
+    if (bank.wear)
+        bank.wearCov.store(bank.wear->summary().covCellWrites,
+                           std::memory_order_relaxed);
 }
 
 trace::ReplayResult
@@ -145,24 +141,15 @@ void
 BankEngine::workerLoop(Bank &bank)
 {
     Item item;
-    uint64_t sinceCov = 0;
     while (bank.queue.pop(item)) {
         bank.replayer->step(item.txn);
         bank.writes.fetch_add(1, std::memory_order_relaxed);
         encoded_.fetch_add(1, std::memory_order_relaxed);
         publish(bank);
-        if (bank.wear && ++sinceCov >= wearCovEvery) {
-            sinceCov = 0;
-            bank.wearCov.store(bank.wear->summary().covCellWrites,
-                               std::memory_order_relaxed);
-        }
         if (item.ticket)
             item.ticket->encoded.fetch_add(
                 1, std::memory_order_release);
     }
-    if (bank.wear)
-        bank.wearCov.store(bank.wear->summary().covCellWrites,
-                           std::memory_order_relaxed);
     publish(bank);
 }
 

@@ -74,7 +74,9 @@ struct BankSnapshot
     uint64_t writes = 0;     //!< writes encoded so far
     std::size_t queueDepth = 0;
     uint64_t stalls = 0;     //!< backpressure events (full pushes)
-    double wearCov = 0.0;    //!< per-cell wear CoV (if tracked)
+    /** Per-cell wear CoV (if tracked), as of the bank's last
+     *  published write. */
+    double wearCov = 0.0;
     trace::ReplayResult replay;
 };
 

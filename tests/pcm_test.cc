@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <vector>
+
 #include "common/rng.hh"
 #include "pcm/cell.hh"
 #include "pcm/config.hh"
@@ -243,6 +248,142 @@ TEST(WearTracker, MergeMatchesSingleTrackerOracle)
     EXPECT_EQ(sa.maxCellWrites, so.maxCellWrites);
     EXPECT_EQ(sa.totalWrites, so.totalWrites);
     EXPECT_EQ(sa.touchedCells, so.touchedCells);
+    EXPECT_EQ(sa.avgCellWrites, so.avgCellWrites);
+    EXPECT_EQ(sa.covCellWrites, so.covCellWrites);
+}
+
+/** Per-line cell counts kept beside a tracker under test. */
+using WearModel = std::map<uint64_t, std::vector<uint64_t>>;
+
+/** Brute-force summary: rescan every cell of @p model. */
+pcm::WearSummary
+rescanSummary(const WearModel &model)
+{
+    pcm::WearSummary s;
+    uint64_t sumSquares = 0;
+    for (const auto &[addr, cells] : model) {
+        for (const uint64_t w : cells) {
+            if (!w)
+                continue;
+            ++s.touchedCells;
+            s.totalWrites += w;
+            sumSquares += w * w;
+            s.maxCellWrites = std::max(s.maxCellWrites, w);
+        }
+    }
+    if (s.touchedCells) {
+        const double n = static_cast<double>(s.touchedCells);
+        s.avgCellWrites = static_cast<double>(s.totalWrites) / n;
+        const double variance =
+            std::max(0.0, static_cast<double>(sumSquares) / n -
+                              s.avgCellWrites * s.avgCellWrites);
+        s.covCellWrites = std::sqrt(variance) / s.avgCellWrites;
+    }
+    return s;
+}
+
+void
+expectMatchesModel(const pcm::WearTracker &t, const WearModel &model)
+{
+    EXPECT_EQ(t.trackedLines(), model.size());
+    for (const auto &[addr, cells] : model) {
+        const auto *line = t.lineWear(addr);
+        ASSERT_NE(line, nullptr) << "line " << addr;
+        for (unsigned c = 0; c < cells.size(); ++c)
+            ASSERT_EQ((*line)[c], cells[c])
+                << "line " << addr << " cell " << c;
+    }
+    const auto got = t.summary(), want = rescanSummary(model);
+    EXPECT_EQ(got.touchedCells, want.touchedCells);
+    EXPECT_EQ(got.totalWrites, want.totalWrites);
+    EXPECT_EQ(got.maxCellWrites, want.maxCellWrites);
+    EXPECT_EQ(got.avgCellWrites, want.avgCellWrites);
+    EXPECT_EQ(got.covCellWrites, want.covCellWrites);
+}
+
+/** Apply one random record call to both @p t and @p model. */
+void
+randomRecord(Rng &rng, pcm::WearTracker &t, WearModel &model,
+             uint64_t addrBase)
+{
+    const unsigned n = t.cellsPerLine();
+    const uint64_t addr = addrBase + rng.range(0, 15);
+    auto touch = [&](unsigned c) {
+        auto &cells = model[addr];
+        cells.resize(n, 0);
+        ++cells[c];
+    };
+    // Masks set a sparse to dense share of a random window of
+    // cells, so either mask word may be the only non-empty one; an
+    // empty mask must not create a line.
+    const double p = rng.range(0, 4) / 4.0;
+    const auto lo = static_cast<unsigned>(rng.range(0, n - 1));
+    const auto hi = static_cast<unsigned>(rng.range(lo, n));
+    switch (rng.range(0, 2)) {
+    case 0: {
+        const auto c = static_cast<unsigned>(rng.range(0, n - 1));
+        t.recordProgram(addr, c);
+        touch(c);
+        break;
+    }
+    case 1: {
+        pcm::CellMask mask;
+        mask.reset(n);
+        for (unsigned c = lo; c < hi; ++c)
+            if (rng.nextDouble() < p) {
+                mask.set(c);
+                touch(c);
+            }
+        t.recordLine(addr, mask);
+        break;
+    }
+    default: {
+        std::vector<bool> mask(n);
+        for (unsigned c = lo; c < hi; ++c)
+            if (rng.nextDouble() < p) {
+                mask[c] = true;
+                touch(c);
+            }
+        t.recordLine(addr, mask);
+        break;
+    }
+    }
+}
+
+TEST(WearTracker, RunningSummaryMatchesBruteForceRescan)
+{
+    // 70 cells: two mask words, the second one partial.
+    constexpr unsigned cells = 70;
+    Rng rng(20180224);
+    pcm::WearTracker t(cells);
+    WearModel model;
+    expectMatchesModel(t, model);
+    for (int step = 0; step < 400; ++step) {
+        if (rng.range(0, 19) == 0) {
+            // Merge a freshly recorded tracker, over disjoint
+            // addresses (a sharded replay) or overlapping ones.
+            pcm::WearTracker other(cells);
+            WearModel otherModel;
+            const uint64_t base = rng.range(0, 1) ? 1000 : 0;
+            const auto records = rng.range(0, 30);
+            for (uint64_t i = 0; i < records; ++i)
+                randomRecord(rng, other, otherModel, base);
+            expectMatchesModel(other, otherModel);
+            t.merge(other);
+            for (const auto &[addr, counts] : otherModel) {
+                auto &mine = model[addr];
+                mine.resize(cells, 0);
+                for (unsigned c = 0; c < cells; ++c)
+                    mine[c] += counts[c];
+            }
+        } else {
+            randomRecord(rng, t, model, 0);
+        }
+        expectMatchesModel(t, model);
+        if (HasFailure())
+            FAIL() << "first mismatch at step " << step;
+    }
+    EXPECT_GT(t.summary().covCellWrites, 0.0);
 }
 
 } // namespace

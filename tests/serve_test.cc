@@ -5,7 +5,8 @@
  *  - BoundedQueue semantics: blocking push (backpressure), close +
  *    drain delivery guarantee, stall accounting;
  *  - BankEngine equivalence: the bank-sharded live encode reproduces
- *    an offline sharded Replayer merge bit for bit;
+ *    an offline sharded Replayer merge bit for bit, and each bank's
+ *    published wear CoV matches its tracker before stop();
  *  - allocation guard: the steady-state submit->encode path performs
  *    no heap allocation (global operator new instrumented);
  *  - protocol framing over a socketpair: clean EOF, bad magic,
@@ -208,20 +209,28 @@ TEST(BoundedQueue, CloseDrainsQueuedItemsThenStops)
 
 // --------------------------------------------------------- BankEngine
 
-/** Offline reference: sharded Replayer merge, runner idiom. */
+/**
+ * Offline reference: sharded Replayer merge, runner idiom. With
+ * @p wear set, each shard also tracks wear into its own tracker.
+ */
 trace::ReplayResult
 offlineShardedReplay(const std::vector<trace::WriteTransaction> &txns,
                      const std::string &scheme, uint64_t seed,
-                     unsigned shards)
+                     unsigned shards,
+                     std::vector<pcm::WearTracker> *wear = nullptr)
 {
     const auto energy = pcm::EnergyModel::withHighStateEnergies(
         307.0, 547.0);
     const auto codec = core::makeCodec(scheme, energy);
     const pcm::WriteUnit unit{energy, pcm::DisturbanceModel()};
+    if (wear)
+        wear->assign(shards, pcm::WearTracker(codec->cellCount()));
     trace::ReplayResult merged;
     for (unsigned s = 0; s < shards; ++s) {
         trace::Replayer rep(*codec, unit,
                             runner::shardSeed(seed, s, shards));
+        if (wear)
+            rep.device().attachWearTracker(&(*wear)[s]);
         for (const auto &t : txns)
             if (runner::shardOf(t.lineAddr, shards) == s)
                 rep.step(t);
@@ -283,6 +292,35 @@ TEST(BankEngine, SnapshotsConvergeToExactResult)
     for (const auto &s : engine.snapshot())
         snapWrites += s.replay.writes;
     EXPECT_EQ(snapWrites, txns.size());
+}
+
+TEST(BankEngine, WearCovIsCurrentBeforeStop)
+{
+    // A few hundred writes over three banks: every bank stays far
+    // below the old 1024-write refresh period.
+    const auto txns = makeStream(300, 17);
+    serve::EngineConfig cfg;
+    cfg.banks = 3;
+    cfg.seed = 7;
+    cfg.wearEndurance = 1000000;
+    serve::BankEngine engine(cfg);
+    engine.start();
+    serve::ConnTicket ticket;
+    for (const auto &t : txns)
+        ASSERT_TRUE(engine.submit(t, &ticket));
+    engine.drainWait(ticket);
+    const auto snaps = engine.snapshot();
+
+    // Bank b's tracker equals shard b's of the offline replay.
+    std::vector<pcm::WearTracker> wear;
+    offlineShardedReplay(txns, cfg.scheme, cfg.seed, cfg.banks, &wear);
+    ASSERT_EQ(snaps.size(), cfg.banks);
+    for (unsigned b = 0; b < cfg.banks; ++b) {
+        const double want = wear[b].summary().covCellWrites;
+        EXPECT_GT(want, 0.0) << "bank " << b;
+        EXPECT_EQ(snaps[b].wearCov, want) << "bank " << b;
+    }
+    engine.stop();
 }
 
 TEST(BankEngine, SubmitAfterStopIsRejected)

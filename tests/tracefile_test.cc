@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -167,6 +168,58 @@ TEST(Crc32, MatchesKnownVectors)
     // Incremental checksumming continues a message.
     const uint32_t part = crc32("12345", 5);
     EXPECT_EQ(crc32("6789", 4, part), 0xcbf43926u);
+}
+
+/** The one-table bytewise loop crc32() must agree with. */
+uint32_t
+crc32Bytewise(const void *data, std::size_t len, uint32_t seed = 0)
+{
+    static const auto table = [] {
+        std::array<uint32_t, 256> t{};
+        for (uint32_t i = 0; i < 256; ++i) {
+            uint32_t c = i;
+            for (int bit = 0; bit < 8; ++bit)
+                c = (c >> 1) ^ ((c & 1) ? 0xedb88320u : 0u);
+            t[i] = c;
+        }
+        return t;
+    }();
+    const auto *p = static_cast<const uint8_t *>(data);
+    uint32_t c = seed ^ 0xffffffffu;
+    for (std::size_t i = 0; i < len; ++i)
+        c = table[(c ^ p[i]) & 0xff] ^ (c >> 8);
+    return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
+{
+    Rng rng(0xc3c32u);
+    std::vector<uint8_t> buf(4096 + 8);
+    for (auto &b : buf)
+        b = static_cast<uint8_t>(rng.next());
+    for (std::size_t off = 0; off < 8; ++off)
+        for (std::size_t len = 0; len <= 4096; ++len)
+            ASSERT_EQ(crc32(buf.data() + off, len),
+                      crc32Bytewise(buf.data() + off, len))
+                << "len " << len << " offset " << off;
+}
+
+TEST(Crc32, ChainedSeedMatchesWholeMessageAtEverySplit)
+{
+    Rng rng(64);
+    uint8_t msg[64];
+    for (auto &b : msg)
+        b = static_cast<uint8_t>(rng.next());
+    const uint32_t whole = crc32Bytewise(msg, sizeof msg);
+    EXPECT_EQ(crc32(msg, sizeof msg), whole);
+    for (std::size_t split = 0; split <= sizeof msg; ++split) {
+        const uint32_t head = crc32(msg, split);
+        EXPECT_EQ(head, crc32Bytewise(msg, split));
+        EXPECT_EQ(crc32(msg + split, sizeof msg - split, head), whole)
+            << "split " << split;
+        EXPECT_EQ(crc32Bytewise(msg + split, sizeof msg - split, head),
+                  whole);
+    }
 }
 
 // ------------------------------------------------------------ lz codec
