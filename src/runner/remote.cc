@@ -15,6 +15,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -32,6 +33,18 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
+
+/**
+ * A parked Pull re-checks its socket for a hangup this often, so a
+ * worker that leaves while idle is dropped within one slice.
+ */
+constexpr std::chrono::milliseconds kParkSlice{100};
+
+/**
+ * stop() lets connection threads send their Fin farewell for this
+ * long before it shuts down the sockets of any still running.
+ */
+constexpr std::chrono::seconds kFinGrace{1};
 
 bool
 sendF(int fd, WorkFrame type, const void *payload = nullptr,
@@ -79,6 +92,15 @@ connectTo(const std::string &host, uint16_t port)
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     return fd;
+}
+
+/** Whether the peer on @p fd hung up (zero-timeout poll). */
+bool
+peerHungUp(int fd)
+{
+    pollfd p{fd, POLLRDHUP, 0};
+    return ::poll(&p, 1, 0) > 0 &&
+           (p.revents & (POLLRDHUP | POLLHUP | POLLERR));
 }
 
 /** u64 pointId prefix + text body (Work and Result payloads). */
@@ -132,7 +154,13 @@ struct RemoteBackend::Impl
     std::thread acceptThread;
 
     std::mutex mutex;
+    /** run()'s wait loop: results, drops, stop(). */
     std::condition_variable cv;
+    /**
+     * Parked Pulls: a point became Pending, or stop(). Separate from
+     * `cv` so a Result does not wake every idle worker's thread.
+     */
+    std::condition_variable workCv;
     bool finFlag = false;
 
     /**
@@ -250,6 +278,15 @@ struct RemoteBackend::Impl
         --callbacksInFlight;
     }
 
+    /** Put point @p id (back) on the queue and wake parked Pulls. */
+    void
+    enqueueLocked(std::size_t id)
+    {
+        active->points[id].state = Point::State::Pending;
+        active->pending.push_back(id);
+        workCv.notify_all();
+    }
+
     /**
      * Charge point @p id one attempt for a requeue its holder
      * caused, and owe the pool one respawn. Within kPointAttempts
@@ -263,8 +300,7 @@ struct RemoteBackend::Impl
         Point &p = active->points[id];
         ++respawnOwed;
         if (++p.charges < kPointAttempts) {
-            p.state = Point::State::Pending;
-            active->pending.push_back(id);
+            enqueueLocked(id);
             return {};
         }
         countLocked("poison-point");
@@ -338,8 +374,8 @@ struct RemoteBackend::Impl
 
     /**
      * Put every Issued point older than the deadline back on the
-     * queue. Called with the lock held, from Pulls that found the
-     * queue empty and from run()'s periodic wait wake-ups.
+     * queue. Called with the lock held from run()'s periodic wait
+     * wake-ups, its only caller: parked Pulls wait on workCv.
      */
     void
     scanStragglersLocked()
@@ -354,8 +390,7 @@ struct RemoteBackend::Impl
             if (p.state != Point::State::Issued ||
                 now - p.issuedAt <= deadline)
                 continue;
-            p.state = Point::State::Pending;
-            active->pending.push_back(i);
+            enqueueLocked(i);
             countLocked("reissued");
             for (const auto &c : conns)
                 if (c->id == p.holder)
@@ -363,48 +398,62 @@ struct RemoteBackend::Impl
         }
     }
 
-    void
+    /**
+     * Issue the next Pending point to @p c. Lock held. @return its
+     * Work payload, empty when nothing is pending.
+     */
+    std::vector<uint8_t>
+    issueLocked(Conn &c)
+    {
+        if (!active)
+            return {};
+        while (!active->pending.empty()) {
+            const std::size_t idx = active->pending.front();
+            active->pending.pop_front();
+            Point &p = active->points[idx];
+            // A queue entry can go stale: a reissued point's first
+            // result arrived and won while its requeued entry still
+            // sat here. Issuing it again would flip a Done point
+            // back to Issued and double-count its completion.
+            if (p.state != Point::State::Pending)
+                continue;
+            p.state = Point::State::Issued;
+            p.issuedAt = Clock::now();
+            p.holder = c.id;
+            c.held.insert(idx);
+            return idTextPayload(idx, p.text);
+        }
+        return {};
+    }
+
+    /**
+     * Long-poll: answer a Pull with Work as soon as a point is
+     * Pending. The wait runs in kParkSlice slices on workCv, and the
+     * socket is checked for a hangup before every attempt to take a
+     * point, so a worker that leaves while parked is dropped holding
+     * nothing (no charge, no "worker-died"). @return false to drop
+     * the connection: the peer hung up, or stop() was called (the
+     * exit path then sends Fin).
+     */
+    bool
     handlePull(const std::shared_ptr<Conn> &c)
     {
-        bool fin = false;
         std::vector<uint8_t> work;
-        {
-            std::lock_guard lock(mutex);
-            fin = finFlag;
-            if (!fin && active) {
-                if (active->pending.empty())
-                    scanStragglersLocked();
-                while (!active->pending.empty()) {
-                    const std::size_t idx =
-                        active->pending.front();
-                    active->pending.pop_front();
-                    Point &p = active->points[idx];
-                    // A queue entry can go stale: a reissued
-                    // point's first result arrived and won while
-                    // its requeued entry still sat here. Issuing
-                    // it again would flip a Done point back to
-                    // Issued and double-count its completion.
-                    if (p.state != Point::State::Pending)
-                        continue;
-                    p.state = Point::State::Issued;
-                    p.issuedAt = Clock::now();
-                    p.holder = c->id;
-                    c->held.insert(idx);
-                    work = idTextPayload(idx, p.text);
-                    break;
-                }
-            }
+        while (work.empty()) {
+            const bool gone = peerHungUp(c->fd);
+            std::unique_lock lock(mutex);
+            if (gone || finFlag)
+                return false;
+            work = issueLocked(*c);
+            if (work.empty())
+                workCv.wait_for(lock, kParkSlice);
         }
-        // Sends happen outside the lock: a worker that stopped
-        // reading must block its own connection thread only, never
-        // the whole head. A failed Work send leaves the point
-        // Issued here; the disconnect path requeues it.
-        if (fin)
-            sendF(c->fd, WorkFrame::Fin);
-        else if (!work.empty())
-            sendF(c->fd, WorkFrame::Work, work.data(), work.size());
-        else
-            sendF(c->fd, WorkFrame::Retry);
+        // Sent outside the lock: a worker that stopped reading must
+        // block its own connection thread only, never the whole
+        // head. A failed send leaves the point Issued here; the
+        // disconnect path requeues it.
+        sendF(c->fd, WorkFrame::Work, work.data(), work.size());
+        return true;
     }
 
     /** @return false to drop the connection. */
@@ -582,7 +631,7 @@ struct RemoteBackend::Impl
                 c->hello = true;
                 break;
             case WorkFrame::Pull:
-                handlePull(c);
+                keep = handlePull(c);
                 break;
             case WorkFrame::Result:
                 keep = handleResult(c, payload);
@@ -744,7 +793,7 @@ struct RemoteBackend::Impl
                 std::lock_guard lock(mutex);
                 active = &r;
             }
-            cv.notify_all();
+            workCv.notify_all(); // publish: parked Pulls take points
             spawnWorkers(jobs);
         }
 
@@ -813,13 +862,17 @@ struct RemoteBackend::Impl
             pids.swap(spawned);
         }
         cv.notify_all();
+        workCv.notify_all(); // parked Pulls leave; their exits say Fin
 
         // Half-close only: the read shutdown breaks each
-        // connection thread's recv, while the intact write side
-        // lets that thread — the fd's sole writer — send the Fin
-        // farewell itself on its way out. stop() never writes, so
-        // frames cannot interleave, and the snapshot above pins the
-        // fds so none can be closed and recycled underneath us.
+        // connection thread's recv (and reads as a hangup to a
+        // parked Pull), while the intact write side lets that
+        // thread — the fd's sole writer — send the Fin farewell
+        // itself on its way out. stop() never writes, so frames
+        // cannot interleave, and the snapshot above pins the fds so
+        // none can be closed and recycled underneath us. The
+        // snapshot is complete: acceptLoop() admits nothing once
+        // finFlag is set.
         for (const auto &c : snapshot)
             ::shutdown(c->fd, SHUT_RD);
         if (listenFd >= 0)
@@ -830,23 +883,20 @@ struct RemoteBackend::Impl
             ::close(listenFd);
             listenFd = -1;
         }
-        for (;;) {
-            std::vector<std::thread> threads;
-            {
-                std::lock_guard lock(mutex);
-                // Connections that slipped in after the snapshot
-                // above still need their recv broken; SHUT_RDWR
-                // here also frees any thread stuck mid-send to a
-                // peer that stopped reading.
-                for (const auto &c : conns)
-                    ::shutdown(c->fd, SHUT_RDWR);
-                threads.swap(connThreads);
-            }
-            if (threads.empty())
-                break;
-            for (auto &t : threads)
-                t.join();
+        std::vector<std::thread> threads;
+        {
+            std::unique_lock lock(mutex);
+            // Each thread gets kFinGrace to say Fin and drop; then
+            // SHUT_RDWR frees any still stuck mid-send to a peer
+            // that stopped reading.
+            cv.wait_for(lock, kFinGrace,
+                        [this] { return conns.empty(); });
+            for (const auto &c : conns)
+                ::shutdown(c->fd, SHUT_RDWR);
+            threads.swap(connThreads);
         }
+        for (auto &t : threads)
+            t.join();
 
         // Spawned workers exit on Fin / the dropped connection; a
         // hung one (fault injection) gets a SIGKILL after a short
@@ -943,11 +993,8 @@ runWorkerLoop(const WorkerOptions &opts)
         const auto type = static_cast<WorkFrame>(h.type);
         if (type == WorkFrame::Fin || type == WorkFrame::Error)
             break;
-        if (type == WorkFrame::Retry) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(opts.pollMs));
-            continue;
-        }
+        if (type == WorkFrame::Retry)
+            continue; // reserved, never sent: just pull again
         if (type != WorkFrame::Work || payload.size() < 8)
             break; // head speaking a different dialect: bail out
         ++works;

@@ -12,11 +12,13 @@
  *
  *   worker → head
  *     Hello     u32 protocolVersion (= 1); must be first
- *     Pull      empty — request one point
+ *     Pull      empty — request one point; the head long-polls,
+ *               answering once a point is pending (or with Fin)
  *     Result    u64 pointId, then the writeResultObject() JSON text
  *   head → worker
  *     Work      u64 pointId, then the canonicalSpec() text
- *     Retry     empty — nothing pending now, poll again
+ *     Retry     reserved (type 4), never sent; a worker that
+ *               receives one pulls again at once
  *     Fin       empty — head is shutting down, exit the loop
  *   cache, either direction of request (any client may use them)
  *     CacheGet  16-byte entry hash (lowercase hex)
@@ -39,6 +41,8 @@
  *    deterministic, so first-wins cannot change bytes.
  *  - A well-formed Result with ok=false is authoritative: the point
  *    failed in the replay path and is NOT retried.
+ *  - A worker that hangs up while its Pull is parked is dropped
+ *    holding nothing: no charge, no "worker-died".
  *  - A malformed frame or Result never takes the head down: named
  *    error count, best-effort Error frame, connection closed,
  *    issued points requeued.
@@ -94,7 +98,7 @@ enum class WorkFrame : uint8_t
     Hello = 1,
     Pull = 2,
     Work = 3,
-    Retry = 4,
+    Retry = 4, //!< reserved: the head long-polls, never retries
     Fin = 5,
     Result = 6,
     CacheGet = 7,
@@ -192,8 +196,6 @@ struct WorkerOptions
 {
     std::string host = "127.0.0.1";
     uint16_t port = 0;
-    /** Sleep between Retry polls (head idle), milliseconds. */
-    int pollMs = 50;
     /** Fault injection: raise(SIGKILL) on receiving the Nth Work. */
     int killAfter = -1;
     /** Fault injection: hang (never answer) the Nth Work. */

@@ -85,14 +85,15 @@ Server::start()
     }
     startTime_ = std::chrono::steady_clock::now();
     engine_.start();
-    acceptThread_ = std::thread([this] { acceptLoop(); });
+    acceptThread_ =
+        std::thread([this, fd = listenFd_] { acceptLoop(fd); });
 }
 
 void
-Server::acceptLoop()
+Server::acceptLoop(int listenFd)
 {
     for (;;) {
-        const int cfd = ::accept(listenFd_, nullptr, nullptr);
+        const int cfd = ::accept(listenFd, nullptr, nullptr);
         if (cfd < 0) {
             if (errno == EINTR)
                 continue;
@@ -306,14 +307,17 @@ Server::shutdownAll()
 {
     if (drained_)
         return;
-    // 1. Stop accepting: closing the listener wakes accept().
-    if (listenFd_ >= 0) {
+    // 1. Stop accepting: shutting the listener down wakes
+    //    accept(); it is closed only after the join, so the fd
+    //    cannot be recycled under a thread still using it.
+    if (listenFd_ >= 0)
         ::shutdown(listenFd_, SHUT_RDWR);
+    if (acceptThread_.joinable())
+        acceptThread_.join();
+    if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    if (acceptThread_.joinable())
-        acceptThread_.join();
     // 2. Unblock every reader; each drains its admitted writes,
     //    closes its capture file and exits.
     {

@@ -129,7 +129,8 @@ class Server
     uint64_t accepted() const { return engine_.totalAccepted(); }
 
   private:
-    void acceptLoop();
+    /** Takes the fd by value: shutdownAll() clears listenFd_. */
+    void acceptLoop(int listenFd);
     runner::ExperimentResult resultShell() const;
     void runConnection(std::shared_ptr<ConnState> conn);
     void noteError(const std::string &name);

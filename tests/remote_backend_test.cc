@@ -25,7 +25,10 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "net/frame.hh"
@@ -114,10 +117,14 @@ spawnWorker(const RemoteBackend &head,
     return test::spawnBackground(
         "exec " + std::string(WLCRC_WORKER_BIN) +
         " --connect 127.0.0.1:" + std::to_string(head.port()) +
-        " --poll-ms 10 " + extraFlags + " 2>/dev/null");
+        " " + extraFlags + " 2>/dev/null");
 }
 
-/** Raw WRK1 client socket for hostile-peer tests. */
+/**
+ * Raw WRK1 client socket for hostile-peer tests. Receives time out
+ * after 20 s, so a reply that never comes fails the test rather
+ * than hanging the suite.
+ */
 int
 rawConnect(uint16_t port)
 {
@@ -129,6 +136,9 @@ rawConnect(uint16_t port)
     EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                         sizeof addr),
               0);
+    timeval tv{};
+    tv.tv_sec = 20;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
     return fd;
 }
 
@@ -142,30 +152,81 @@ sendHello(int fd)
                    sizeof v);
 }
 
-/** Pull until a Work frame arrives; {pointId, spec text}. */
+void
+sendPull(int fd)
+{
+    net::sendFrame(fd, runner::workMagic,
+                   static_cast<uint8_t>(WorkFrame::Pull), 0, nullptr,
+                   0);
+}
+
+/** Block for one frame; its type, or 0 when none arrived. */
+uint8_t
+recvType(int fd, std::vector<uint8_t> &payload)
+{
+    net::FrameHeader h;
+    return net::recvFrame(fd, runner::workMagic,
+                          runner::maxWorkPayload, h, payload) ==
+                   net::RecvStatus::Ok
+               ? h.type
+               : 0;
+}
+
+/** Block for the answer to a sent Pull; {pointId, spec text}. */
+std::pair<uint64_t, std::string>
+recvWork(int fd)
+{
+    std::vector<uint8_t> payload;
+    if (recvType(fd, payload) ==
+            static_cast<uint8_t>(WorkFrame::Work) &&
+        payload.size() >= 8)
+        return {tracefile::getLe64(payload.data()),
+                std::string(payload.begin() + 8, payload.end())};
+    ADD_FAILURE() << "the Pull was not answered with Work";
+    return {UINT64_MAX, ""};
+}
+
+/** One Pull, answered (the head long-polls) with Work. */
 std::pair<uint64_t, std::string>
 pullWork(int fd)
 {
-    net::FrameHeader h;
+    sendPull(fd);
+    return recvWork(fd);
+}
+
+/**
+ * Prove the head is serving @p fd's connection: a CacheGet round
+ * trip (a head without a served cache always misses).
+ */
+void
+expectServed(int fd)
+{
+    const std::string hash = "0123456789abcdef";
+    net::sendFrame(fd, runner::workMagic,
+                   static_cast<uint8_t>(WorkFrame::CacheGet), 0,
+                   hash.data(), hash.size());
     std::vector<uint8_t> payload;
-    for (int tries = 0; tries < 500; ++tries) {
-        net::sendFrame(fd, runner::workMagic,
-                       static_cast<uint8_t>(WorkFrame::Pull), 0,
-                       nullptr, 0);
-        if (net::recvFrame(fd, runner::workMagic,
-                           runner::maxWorkPayload, h, payload) !=
-            net::RecvStatus::Ok)
-            break;
-        if (h.type == static_cast<uint8_t>(WorkFrame::Work) &&
-            payload.size() >= 8)
-            return {tracefile::getLe64(payload.data()),
-                    std::string(payload.begin() + 8,
-                                payload.end())};
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(10));
-    }
-    ADD_FAILURE() << "no Work frame arrived on this connection";
-    return {UINT64_MAX, ""};
+    EXPECT_EQ(recvType(fd, payload),
+              static_cast<uint8_t>(WorkFrame::CacheMiss));
+}
+
+/** Whether any byte arrives on @p fd within @p ms. */
+bool
+replyWithin(int fd, int ms)
+{
+    pollfd p{fd, POLLIN, 0};
+    return ::poll(&p, 1, ms) > 0;
+}
+
+/** A one-point sweep small enough to replay in the test itself. */
+std::vector<ExperimentSpec>
+onePoint()
+{
+    ExperimentSpec s;
+    s.scheme = "Baseline";
+    s.workload = "lesl";
+    s.lines = 40;
+    return {s};
 }
 
 /** Honestly replay @p specText and send its Result for @p id. */
@@ -185,17 +246,26 @@ sendResultFor(int fd, uint64_t id, const std::string &specText)
                    p.data(), p.size());
 }
 
+/** head.run(@p specs) on its own thread; collect with joinRun(). */
+std::future<std::vector<ExperimentResult>>
+startRun(RemoteBackend &head, std::vector<ExperimentSpec> specs,
+         unsigned jobs = 1)
+{
+    return std::async(std::launch::async,
+                      [&head, specs = std::move(specs), jobs] {
+                          return head.run(specs, jobs, {});
+                      });
+}
+
 /**
- * head.run(@p specs) that cannot hang the suite: if it has not
- * returned within a minute, fail the test and stop() the head, which
- * fails whatever is left in-band and releases run().
+ * Collect a startRun() that cannot hang the suite: if it has not
+ * returned within a minute, fail the test and stop() the head,
+ * which fails whatever is left in-band and releases run().
  */
 std::vector<ExperimentResult>
-runOrStop(RemoteBackend &head, const std::vector<ExperimentSpec> &specs,
-          unsigned jobs)
+joinRun(RemoteBackend &head,
+        std::future<std::vector<ExperimentResult>> &sweep)
 {
-    auto sweep = std::async(std::launch::async,
-                            [&] { return head.run(specs, jobs, {}); });
     if (sweep.wait_for(std::chrono::minutes(1)) !=
         std::future_status::ready) {
         ADD_FAILURE() << "run() did not return; stopping the head";
@@ -203,6 +273,28 @@ runOrStop(RemoteBackend &head, const std::vector<ExperimentSpec> &specs,
     }
     return sweep.get();
 }
+
+/**
+ * Stops the head when it goes out of scope. Declared after a
+ * startRun() future, it releases run() before the future's
+ * destructor waits for it, should the test bail out early.
+ */
+struct StopAtExit
+{
+    RemoteBackend &head;
+    ~StopAtExit() { head.stop(); }
+};
+
+/** head.run(@p specs), bounded as joinRun() is. */
+std::vector<ExperimentResult>
+runOrStop(RemoteBackend &head, const std::vector<ExperimentSpec> &specs,
+          unsigned jobs)
+{
+    auto sweep = startRun(head, specs, jobs);
+    return joinRun(head, sweep);
+}
+
+using Counts = std::map<std::string, uint64_t>;
 
 /** Wait (bounded) until @p counter appears in the head's counts. */
 bool
@@ -570,29 +662,12 @@ TEST(RemoteFaults, MalformedResultRequeuesThePoint)
     });
 
     // A hostile client pulls the point and answers with garbage
-    // JSON; the head must requeue it for the honest worker.
+    // JSON; the head must requeue it for the honest worker. The
+    // Pull long-polls until the sweep's point is issued to us.
     const int fd = rawConnect(head->port());
     sendHello(fd);
-    net::sendFrame(fd, runner::workMagic,
-                   static_cast<uint8_t>(WorkFrame::Pull), 0,
-                   nullptr, 0);
-    net::FrameHeader h;
-    std::vector<uint8_t> payload;
-    for (;;) { // poll until the sweep's point is issued to us
-        ASSERT_EQ(net::recvFrame(fd, runner::workMagic,
-                                 runner::maxWorkPayload, h,
-                                 payload),
-                  net::RecvStatus::Ok);
-        if (h.type == static_cast<uint8_t>(WorkFrame::Work))
-            break;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(10));
-        net::sendFrame(fd, runner::workMagic,
-                       static_cast<uint8_t>(WorkFrame::Pull), 0,
-                       nullptr, 0);
-    }
-    std::vector<uint8_t> reply(payload.begin(),
-                               payload.begin() + 8);
+    std::vector<uint8_t> reply(8);
+    tracefile::putLe64(reply.data(), pullWork(fd).first);
     const char junk[] = "this is not json";
     reply.insert(reply.end(), junk, junk + sizeof junk - 1);
     net::sendFrame(fd, runner::workMagic,
@@ -781,6 +856,163 @@ TEST(RemoteFaults, StopMidRunFailsUnfinishedPointsInBand)
         EXPECT_FALSE(r.ok);
         EXPECT_NE(r.error.find("stopped"), std::string::npos);
     }
+}
+
+// ----------------------------------------------------------------
+// Long-poll wake paths: a Pull that finds nothing pending parks
+// until a point is queued, requeued or reissued, or until stop().
+// ----------------------------------------------------------------
+
+TEST(RemoteBackendLongPoll, ParkedPullGetsWorkWhenRunStarts)
+{
+    auto head = bareHead();
+    const int fd = rawConnect(head->port());
+    sendHello(fd);
+    expectServed(fd);
+    sendPull(fd);
+    // An idle head has nothing to say: no Retry, no reply at all.
+    EXPECT_FALSE(replyWithin(fd, 50));
+
+    auto sweep = startRun(*head, onePoint());
+    const StopAtExit stopper{*head};
+    const auto [id, text] = recvWork(fd);
+    EXPECT_EQ(id, 0u);
+    sendResultFor(fd, id, text);
+    const auto results = joinRun(*head, sweep);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results[0].ok) << results[0].error;
+    EXPECT_EQ(head->errorCounts(), Counts{});
+    ::close(fd);
+}
+
+TEST(RemoteBackendLongPoll, ParkedPullGetsThePointADisconnectRequeued)
+{
+    auto head = bareHead();
+    auto sweep = startRun(*head, onePoint());
+    const StopAtExit stopper{*head};
+    const int holder = rawConnect(head->port());
+    sendHello(holder);
+    const auto held = pullWork(holder);
+    const int parked = rawConnect(head->port());
+    sendHello(parked);
+    sendPull(parked); // nothing pending: parks
+    EXPECT_FALSE(replyWithin(parked, 50));
+
+    ::close(holder); // dies holding the point: charged, requeued
+    const auto [id, text] = recvWork(parked);
+    EXPECT_EQ(id, held.first);
+    sendResultFor(parked, id, text);
+    const auto results = joinRun(*head, sweep);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results[0].ok) << results[0].error;
+    EXPECT_EQ(head->errorCounts(), (Counts{{"worker-died", 1}}));
+    ::close(parked);
+}
+
+TEST(RemoteBackendLongPoll, ParkedPullGetsAStragglerReissuedPastItsDeadline)
+{
+    auto head = bareHead(/*reissueSec=*/0.3);
+    auto sweep = startRun(*head, onePoint());
+    const StopAtExit stopper{*head};
+    const int hung = rawConnect(head->port());
+    sendHello(hung);
+    const auto held = pullWork(hung); // and never answered
+    const int parked = rawConnect(head->port());
+    sendHello(parked);
+    sendPull(parked); // nothing pending: parks
+    EXPECT_FALSE(replyWithin(parked, 50));
+
+    // run()'s wait loop reissues the point past its deadline and
+    // wakes the parked Pull.
+    const auto [id, text] = recvWork(parked);
+    EXPECT_EQ(id, held.first);
+    sendResultFor(parked, id, text);
+    const auto results = joinRun(*head, sweep);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results[0].ok) << results[0].error;
+    EXPECT_EQ(head->errorCounts(), (Counts{{"reissued", 1}}));
+    ::close(hung);
+    ::close(parked);
+}
+
+TEST(RemoteBackendLongPoll, StopAnswersAParkedPullWithFin)
+{
+    auto head = bareHead();
+    const int fd = rawConnect(head->port());
+    sendHello(fd);
+    expectServed(fd);
+    sendPull(fd);
+    EXPECT_FALSE(replyWithin(fd, 50));
+    head->stop();
+    std::vector<uint8_t> payload;
+    EXPECT_EQ(recvType(fd, payload),
+              static_cast<uint8_t>(WorkFrame::Fin));
+    EXPECT_EQ(head->errorCounts(), Counts{});
+    ::close(fd);
+}
+
+TEST(RemoteBackendLongPoll, HangupWhileParkedChargesNothing)
+{
+    auto head = bareHead();
+    const int fd = rawConnect(head->port());
+    sendHello(fd);
+    expectServed(fd);
+    sendPull(fd);
+    ::close(fd); // leaves while idle: must be dropped holding nothing
+
+    const pid_t worker = spawnWorker(*head);
+    EXPECT_EQ(runWith(head, smallGrid()),
+              runWith(std::make_shared<ThreadBackend>(), smallGrid()));
+    EXPECT_EQ(head->errorCounts(), Counts{});
+    head->stop();
+    test::reap(worker);
+}
+
+TEST(RemoteBackendLongPoll, SpawnedWorkerExitingWhileIdleEndsRunWithNoLiveWorkers)
+{
+    // The spawned worker records its pid, serves a first run, then
+    // parks idle. Killed there, it must be dropped holding nothing,
+    // so the second run ends in-band instead of waiting forever on
+    // a connection nobody is behind.
+    namespace fs = std::filesystem;
+    const fs::path dir(::testing::TempDir());
+    const fs::path wrapper = dir / "wlcrc_pid_worker.sh";
+    const fs::path pidFile = dir / "wlcrc_pid_worker.pid";
+    fs::remove(pidFile);
+    {
+        std::ofstream out(wrapper);
+        out << "#!/bin/sh\n"
+            << "echo $$ > '" << pidFile.string() << "'\n"
+            << "exec '" << WLCRC_WORKER_BIN << "' \"$@\"\n";
+    }
+    fs::permissions(wrapper, fs::perms::owner_all,
+                    fs::perm_options::add);
+
+    auto head = spawningHead(1, 30.0, wrapper.string());
+    const auto first = runOrStop(*head, onePoint(), 1);
+    ASSERT_EQ(first.size(), 1u);
+    ASSERT_TRUE(first[0].ok) << first[0].error;
+
+    // It answered, so it wrote its pid before exec-ing the worker.
+    pid_t pid = 0;
+    std::ifstream(pidFile) >> pid;
+    ASSERT_GT(pid, 0);
+    ASSERT_EQ(::kill(pid, SIGKILL), 0);
+    // Dead (its socket closed) but not reaped: the head reaps it.
+    siginfo_t info{};
+    ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(pid), &info,
+                       WEXITED | WNOWAIT),
+              0);
+
+    const auto second = runOrStop(*head, onePoint(), 1);
+    ASSERT_EQ(second.size(), 1u);
+    EXPECT_FALSE(second[0].ok);
+    EXPECT_NE(second[0].error.find("no live workers"),
+              std::string::npos)
+        << second[0].error;
+    EXPECT_EQ(head->errorCounts(), (Counts{{"no-live-workers", 1}}));
+    head->stop();
+    fs::remove(pidFile);
 }
 
 TEST(RemoteFaults, CliHeadSurvivesAKilledWorker)

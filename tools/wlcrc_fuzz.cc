@@ -21,8 +21,9 @@
  * (runner/remote.hh) is bombarded with hostile client streams —
  * raw garbage, random frame types, oversized and truncated frame
  * promises, Results carrying junk ids and junk JSON — and must
- * survive every one of them, still answering a well-formed
- * Hello+Pull with a Retry after the barrage.
+ * survive every one of them: after the barrage a well-formed
+ * Hello+Pull parks on the idle head and must be answered with Work
+ * once a one-point run() starts.
  *
  * Any divergence prints a self-contained repro (iteration seed plus
  * full line hex) and exits 1; a clean run prints a summary and exits
@@ -42,6 +43,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -458,12 +460,16 @@ done:
     ::close(fd);
 }
 
-/** A well-formed Hello+Pull must still earn a Retry (or Fin). */
+/**
+ * A well-formed Hello+Pull must still be served: it parks on the
+ * idle head, and a one-point run() started after it must answer it
+ * with Work within the 5 s receive timeout. Stops @p head.
+ */
 bool
-wrk1StillAnswers(uint16_t port)
+wrk1StillAnswers(runner::RemoteBackend &head)
 {
     using runner::WorkFrame;
-    const int fd = wrk1Connect(port);
+    const int fd = wrk1Connect(head.port());
     if (fd < 0) {
         std::fprintf(stderr, "MISMATCH (wrk1): head stopped "
                              "accepting connections\n");
@@ -480,17 +486,23 @@ wrk1StillAnswers(uint16_t port)
     net::sendFrame(fd, runner::workMagic,
                    static_cast<uint8_t>(WorkFrame::Pull), 0, nullptr,
                    0);
+    runner::ExperimentSpec spec;
+    spec.scheme = "Baseline";
+    spec.workload = "lesl";
+    spec.lines = 16;
+    std::thread sweep([&] { head.run({spec}, 1, {}); });
     net::FrameHeader h;
     std::vector<uint8_t> payload;
     const net::RecvStatus st = net::recvFrame(
         fd, runner::workMagic, runner::maxWorkPayload, h, payload);
+    head.stop(); // fails the unanswered point in-band; run() returns
+    sweep.join();
     ::close(fd);
     if (st != net::RecvStatus::Ok ||
-        (h.type != static_cast<uint8_t>(WorkFrame::Retry) &&
-         h.type != static_cast<uint8_t>(WorkFrame::Fin))) {
+        h.type != static_cast<uint8_t>(WorkFrame::Work)) {
         std::fprintf(stderr,
                      "MISMATCH (wrk1): Hello+Pull answered with "
-                     "status %d type %u, want a Retry\n",
+                     "status %d type %u, want Work\n",
                      static_cast<int>(st), unsigned{h.type});
         return false;
     }
@@ -585,11 +597,10 @@ main(int argc, char **argv)
             for (uint64_t iter = 0; iter < wrk1Cases; ++iter)
                 wrk1FuzzCase(childSeed(seed ^ 0x57726bull, iter),
                              head.port());
-            if (!wrk1StillAnswers(head.port()))
-                return 1;
             for (const auto &[name, n] : head.errorCounts())
                 wrk1Errors += n;
-            head.stop();
+            if (!wrk1StillAnswers(head))
+                return 1;
         }
 
         uint64_t encodes = 0;

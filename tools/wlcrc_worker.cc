@@ -47,7 +47,6 @@ usage(std::FILE *out)
         "                       (bare PORT means 127.0.0.1)\n"
         "  --loops N            concurrent pull loops, each its\n"
         "                       own connection (default 1)\n"
-        "  --poll-ms MS         idle poll interval (default 50)\n"
         "  --simd KERNEL        encode kernel: auto scalar avx2\n"
         "                       neon (default $WLCRC_SIMD, else\n"
         "                       auto)\n"
@@ -92,12 +91,6 @@ parse(int argc, char **argv)
                 std::stoul(value(i, "--loops")));
             if (o.loops == 0)
                 throw std::runtime_error("--loops must be >= 1");
-        } else if (arg == "--poll-ms") {
-            o.worker.pollMs =
-                std::stoi(value(i, "--poll-ms"));
-            if (o.worker.pollMs < 0)
-                throw std::runtime_error(
-                    "--poll-ms must be >= 0");
         } else if (arg == "--simd") {
             o.simd = value(i, "--simd");
         } else if (arg == "--kill-after") {
