@@ -12,14 +12,12 @@
 #include <stdexcept>
 #include <thread>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "net/conn_server.hh"
 #include "net/frame.hh"
 #include "runner/json_mini.hh"
 #include "runner/report.hh"
@@ -65,33 +63,6 @@ void
 sendError(int fd, const char *name)
 {
     sendF(fd, WorkFrame::Error, name, std::strlen(name));
-}
-
-/** Connect to @p host:@p port. @throws std::runtime_error. */
-int
-connectTo(const std::string &host, uint16_t port)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        throw std::runtime_error("socket() failed");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-        ::close(fd);
-        throw std::runtime_error("bad host \"" + host + "\"");
-    }
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof addr) != 0) {
-        const int err = errno;
-        ::close(fd);
-        throw std::runtime_error("cannot connect " + host + ":" +
-                                 std::to_string(port) + ": " +
-                                 std::strerror(err));
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    return fd;
 }
 
 /** Whether the peer on @p fd hung up (zero-timeout poll). */
@@ -145,13 +116,16 @@ parseHostPort(const std::string &text)
 
 struct RemoteBackend::Impl
 {
-    explicit Impl(RemoteBackendOptions o) : opts(std::move(o)) {}
+    explicit Impl(RemoteBackendOptions o)
+        : opts(std::move(o)),
+          server([this](int fd, uint64_t id) {
+              connectionLoop(fd, id);
+          })
+    {
+        server.start(opts.port);
+    }
 
     RemoteBackendOptions opts;
-
-    int listenFd = -1;
-    uint16_t port = 0;
-    std::thread acceptThread;
 
     std::mutex mutex;
     /** run()'s wait loop: results, drops, stop(). */
@@ -200,46 +174,28 @@ struct RemoteBackend::Impl
     };
     Run *active = nullptr;
 
-    std::map<std::string, uint64_t> errors;
-
+    /**
+     * Protocol state of one connection. It lives on its connection
+     * thread's stack; the fd belongs to `server`.
+     */
     struct Conn
     {
-        /**
-         * Closed only here, when the last reference drops. stop()
-         * snapshots the shared_ptrs, so an fd it shuts down cannot
-         * be concurrently closed and reused for something else.
-         */
-        ~Conn()
-        {
-            if (fd >= 0)
-                ::close(fd);
-        }
-
-        int fd = -1;
         uint64_t id = 0;
         bool hello = false;
         std::set<std::size_t> held; //!< point ids issued here
     };
-    std::vector<std::shared_ptr<Conn>> conns;
-    std::vector<std::thread> connThreads;
-    uint64_t nextConnId = 0;
+    std::vector<Conn *> conns; //!< registered connections
 
     std::vector<pid_t> spawned; //!< live (not yet reaped) workers
     unsigned respawnOwed = 0;   //!< one per charged requeue
     bool stopped = false;
 
-    void
-    countLocked(const std::string &name)
-    {
-        ++errors[name];
-    }
-
-    void
-    count(const std::string &name)
-    {
-        std::lock_guard lock(mutex);
-        countLocked(name);
-    }
+    /**
+     * Listener, connection threads and fds, and the named error
+     * counts. Declared last: destroyed first, while everything its
+     * handlers touch is alive.
+     */
+    net::ConnServer server;
 
     /**
      * Mark @p p Done with @p res. Lock held; returns the progress
@@ -303,73 +259,12 @@ struct RemoteBackend::Impl
             enqueueLocked(id);
             return {};
         }
-        countLocked("poison-point");
+        server.count("poison-point");
         ExperimentResult res;
         res.spec = *p.spec;
         res.error = "remote backend: point lost " +
                     std::to_string(kPointAttempts) + " workers";
         return completeLocked(p, std::move(res));
-    }
-
-    void
-    start()
-    {
-        listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (listenFd < 0)
-            throw std::runtime_error("socket() failed");
-        const int one = 1;
-        ::setsockopt(listenFd, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof one);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = htons(opts.port);
-        if (::bind(listenFd, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof addr) != 0) {
-            ::close(listenFd);
-            listenFd = -1;
-            throw std::runtime_error(
-                "cannot bind 127.0.0.1:" +
-                std::to_string(opts.port) + ": " +
-                std::strerror(errno));
-        }
-        socklen_t len = sizeof addr;
-        ::getsockname(listenFd,
-                      reinterpret_cast<sockaddr *>(&addr), &len);
-        port = ntohs(addr.sin_port);
-        if (::listen(listenFd, 128) != 0) {
-            ::close(listenFd);
-            listenFd = -1;
-            throw std::runtime_error("listen() failed");
-        }
-        acceptThread = std::thread([this] { acceptLoop(); });
-    }
-
-    void
-    acceptLoop()
-    {
-        for (;;) {
-            const int cfd = ::accept(listenFd, nullptr, nullptr);
-            if (cfd < 0) {
-                if (errno == EINTR)
-                    continue;
-                break; // listener closed by stop()
-            }
-            const int one = 1;
-            ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one,
-                         sizeof one);
-            std::lock_guard lock(mutex);
-            if (finFlag) {
-                ::close(cfd);
-                continue;
-            }
-            auto conn = std::make_shared<Conn>();
-            conn->fd = cfd;
-            conn->id = nextConnId++;
-            conns.push_back(conn);
-            connThreads.emplace_back(
-                [this, conn] { connectionLoop(conn); });
-        }
     }
 
     /**
@@ -391,8 +286,8 @@ struct RemoteBackend::Impl
                 now - p.issuedAt <= deadline)
                 continue;
             enqueueLocked(i);
-            countLocked("reissued");
-            for (const auto &c : conns)
+            server.count("reissued");
+            for (Conn *c : conns)
                 if (c->id == p.holder)
                     c->held.erase(i);
         }
@@ -436,15 +331,15 @@ struct RemoteBackend::Impl
      * exit path then sends Fin).
      */
     bool
-    handlePull(const std::shared_ptr<Conn> &c)
+    handlePull(int fd, Conn &c)
     {
         std::vector<uint8_t> work;
         while (work.empty()) {
-            const bool gone = peerHungUp(c->fd);
+            const bool gone = peerHungUp(fd);
             std::unique_lock lock(mutex);
             if (gone || finFlag)
                 return false;
-            work = issueLocked(*c);
+            work = issueLocked(c);
             if (work.empty())
                 workCv.wait_for(lock, kParkSlice);
         }
@@ -452,18 +347,17 @@ struct RemoteBackend::Impl
         // block its own connection thread only, never the whole
         // head. A failed send leaves the point Issued here; the
         // disconnect path requeues it.
-        sendF(c->fd, WorkFrame::Work, work.data(), work.size());
+        sendF(fd, WorkFrame::Work, work.data(), work.size());
         return true;
     }
 
     /** @return false to drop the connection. */
     bool
-    handleResult(const std::shared_ptr<Conn> &c,
-                 const std::vector<uint8_t> &payload)
+    handleResult(int fd, Conn &c, const std::vector<uint8_t> &payload)
     {
         if (payload.size() < 8) {
-            count("malformed-result");
-            sendError(c->fd, "malformed-result");
+            server.count("malformed-result");
+            sendError(fd, "malformed-result");
             return false;
         }
         const uint64_t id = tracefile::getLe64(payload.data());
@@ -479,10 +373,10 @@ struct RemoteBackend::Impl
         std::function<void()> done;
         {
             std::lock_guard lock(mutex);
-            c->held.erase(static_cast<std::size_t>(id));
+            c.held.erase(static_cast<std::size_t>(id));
             if (!active || id >= active->points.size()) {
                 // Straggler of a finished run racing Fin: harmless.
-                countLocked("duplicate-result");
+                server.count("duplicate-result");
                 return true;
             }
             Point &p =
@@ -491,7 +385,7 @@ struct RemoteBackend::Impl
                 // The point was reissued and someone else won.
                 // Results are deterministic, so dropping this copy
                 // is safe.
-                countLocked("duplicate-result");
+                server.count("duplicate-result");
                 return true;
             }
             ExperimentResult res;
@@ -504,9 +398,9 @@ struct RemoteBackend::Impl
                 }
             }
             if (malformed) {
-                countLocked("malformed-result");
+                server.count("malformed-result");
                 if (p.state == Point::State::Issued &&
-                    p.holder == c->id)
+                    p.holder == c.id)
                     done = chargeLocked(static_cast<std::size_t>(id));
             } else {
                 // A reissued point sits in the queue as a Pending
@@ -524,14 +418,14 @@ struct RemoteBackend::Impl
                 // replay itself failed, identical on any worker —
                 // not a worker fault to retry around.
                 if (!res.ok)
-                    countLocked("worker-reported-error");
+                    server.count("worker-reported-error");
                 done = completeLocked(p, std::move(res));
             }
         }
         runCallback(done);
         cv.notify_all();
         if (malformed) {
-            sendError(c->fd, "malformed-result");
+            sendError(fd, "malformed-result");
             return false;
         }
         return true;
@@ -539,15 +433,14 @@ struct RemoteBackend::Impl
 
     /** @return false to drop the connection. */
     bool
-    handleCacheGet(const std::shared_ptr<Conn> &c,
-                   const std::vector<uint8_t> &payload)
+    handleCacheGet(int fd, const std::vector<uint8_t> &payload)
     {
         const std::string hash(payload.begin(), payload.end());
         try {
             checkCacheHash(hash);
         } catch (const std::exception &) {
-            count("bad-cache-hash");
-            sendError(c->fd, "bad-cache-hash");
+            server.count("bad-cache-hash");
+            sendError(fd, "bad-cache-hash");
             return false;
         }
         std::optional<std::string> entry;
@@ -559,15 +452,14 @@ struct RemoteBackend::Impl
             }
         }
         if (entry)
-            return sendF(c->fd, WorkFrame::CacheHit, entry->data(),
+            return sendF(fd, WorkFrame::CacheHit, entry->data(),
                          entry->size());
-        return sendF(c->fd, WorkFrame::CacheMiss);
+        return sendF(fd, WorkFrame::CacheMiss);
     }
 
     /** @return false to drop the connection. */
     bool
-    handleCachePut(const std::shared_ptr<Conn> &c,
-                   const std::vector<uint8_t> &payload)
+    handleCachePut(int fd, const std::vector<uint8_t> &payload)
     {
         const std::string hash(
             payload.begin(),
@@ -576,45 +468,53 @@ struct RemoteBackend::Impl
         try {
             checkCacheHash(hash);
         } catch (const std::exception &) {
-            count("bad-cache-hash");
-            sendError(c->fd, "bad-cache-hash");
+            server.count("bad-cache-hash");
+            sendError(fd, "bad-cache-hash");
             return false;
         }
         const std::string entry(payload.begin() + 16,
                                 payload.end());
         if (!opts.serveCache) {
-            sendError(c->fd, "no-cache");
+            sendError(fd, "no-cache");
             return true;
         }
         try {
             opts.serveCache->put(hash, entry);
         } catch (const std::exception &) {
             // A full disk costs the entry, never the connection.
-            count("cache-put-failed");
-            sendError(c->fd, "cache-put-failed");
+            server.count("cache-put-failed");
+            sendError(fd, "cache-put-failed");
             return true;
         }
-        return sendF(c->fd, WorkFrame::PutAck);
+        return sendF(fd, WorkFrame::PutAck);
     }
 
     void
-    connectionLoop(const std::shared_ptr<Conn> &c)
+    connectionLoop(int fd, uint64_t id)
     {
+        Conn c;
+        c.id = id;
+        {
+            std::lock_guard lock(mutex);
+            if (finFlag)
+                return; // accepted mid-stop: closed unserved
+            conns.push_back(&c);
+        }
         net::FrameHeader h;
         std::vector<uint8_t> payload;
         for (;;) {
-            const net::RecvStatus st = recvF(c->fd, h, payload);
+            const net::RecvStatus st = recvF(fd, h, payload);
             if (st != net::RecvStatus::Ok) {
                 if (st != net::RecvStatus::CleanEof) {
-                    count(net::recvErrorName(st));
-                    sendError(c->fd, net::recvErrorName(st));
+                    server.count(net::recvErrorName(st));
+                    sendError(fd, net::recvErrorName(st));
                 }
                 break;
             }
-            if (!c->hello &&
+            if (!c.hello &&
                 h.type != static_cast<uint8_t>(WorkFrame::Hello)) {
-                count("bad-hello");
-                sendError(c->fd, "bad-hello");
+                server.count("bad-hello");
+                sendError(fd, "bad-hello");
                 break;
             }
             bool keep = true;
@@ -623,28 +523,28 @@ struct RemoteBackend::Impl
                 if (payload.size() != 4 ||
                     tracefile::getLe32(payload.data()) !=
                         workProtocolVersion) {
-                    count("bad-hello");
-                    sendError(c->fd, "bad-hello");
+                    server.count("bad-hello");
+                    sendError(fd, "bad-hello");
                     keep = false;
                     break;
                 }
-                c->hello = true;
+                c.hello = true;
                 break;
             case WorkFrame::Pull:
-                keep = handlePull(c);
+                keep = handlePull(fd, c);
                 break;
             case WorkFrame::Result:
-                keep = handleResult(c, payload);
+                keep = handleResult(fd, c, payload);
                 break;
             case WorkFrame::CacheGet:
-                keep = handleCacheGet(c, payload);
+                keep = handleCacheGet(fd, payload);
                 break;
             case WorkFrame::CachePut:
-                keep = handleCachePut(c, payload);
+                keep = handleCachePut(fd, payload);
                 break;
             default:
-                count("bad-frame-type");
-                sendError(c->fd, "bad-frame-type");
+                server.count("bad-frame-type");
+                sendError(fd, "bad-frame-type");
                 keep = false;
                 break;
             }
@@ -661,36 +561,33 @@ struct RemoteBackend::Impl
             fin = finFlag;
         }
         if (fin)
-            sendF(c->fd, WorkFrame::Fin);
+            sendF(fd, WorkFrame::Fin);
         dropConn(c);
     }
 
-    /** Charge a closing connection's issued points, close its fd. */
+    /**
+     * Charge a closing connection's issued points and unregister
+     * it; `server` closes the fd once connectionLoop() returns.
+     */
     void
-    dropConn(const std::shared_ptr<Conn> &c)
+    dropConn(Conn &c)
     {
         std::vector<std::function<void()>> done;
         {
             std::lock_guard lock(mutex);
             if (active) {
-                for (const std::size_t id : c->held) {
+                for (const std::size_t id : c.held) {
                     const Point &p = active->points[id];
                     if (p.state == Point::State::Issued &&
-                        p.holder == c->id) {
-                        countLocked("worker-died");
+                        p.holder == c.id) {
+                        server.count("worker-died");
                         done.push_back(chargeLocked(id));
                     }
                 }
             }
-            c->held.clear();
-            conns.erase(
-                std::remove(conns.begin(), conns.end(), c),
-                conns.end());
+            c.held.clear();
+            std::erase(conns, &c);
         }
-        // No close here: ~Conn closes once the last shared_ptr
-        // (possibly a snapshot inside stop()) lets go, so the fd
-        // number cannot be recycled under a concurrent shutdown.
-        ::shutdown(c->fd, SHUT_RDWR);
         for (const auto &d : done)
             runCallback(d);
         cv.notify_all();
@@ -706,7 +603,7 @@ struct RemoteBackend::Impl
     spawnOneLocked()
     {
         const std::string connectArg =
-            "127.0.0.1:" + std::to_string(port);
+            "127.0.0.1:" + std::to_string(server.port());
         const pid_t pid = ::fork();
         if (pid < 0)
             return;
@@ -819,7 +716,7 @@ struct RemoteBackend::Impl
                 scanStragglersLocked();
                 if (live && !superviseLocked()) {
                     live = false;
-                    countLocked("no-live-workers");
+                    server.count("no-live-workers");
                     continue;
                 }
                 cv.wait_for(lock,
@@ -850,7 +747,6 @@ struct RemoteBackend::Impl
     void
     stop()
     {
-        std::vector<std::shared_ptr<Conn>> snapshot;
         std::vector<pid_t> pids;
         {
             std::lock_guard lock(mutex);
@@ -858,7 +754,6 @@ struct RemoteBackend::Impl
                 return;
             stopped = true;
             finFlag = true;
-            snapshot = conns; // shared_ptrs keep the fds alive
             pids.swap(spawned);
         }
         cv.notify_all();
@@ -869,34 +764,14 @@ struct RemoteBackend::Impl
         // parked Pull), while the intact write side lets that
         // thread — the fd's sole writer — send the Fin farewell
         // itself on its way out. stop() never writes, so frames
-        // cannot interleave, and the snapshot above pins the fds so
-        // none can be closed and recycled underneath us. The
-        // snapshot is complete: acceptLoop() admits nothing once
-        // finFlag is set.
-        for (const auto &c : snapshot)
-            ::shutdown(c->fd, SHUT_RD);
-        if (listenFd >= 0)
-            ::shutdown(listenFd, SHUT_RDWR);
-        if (acceptThread.joinable())
-            acceptThread.join();
-        if (listenFd >= 0) {
-            ::close(listenFd);
-            listenFd = -1;
-        }
-        std::vector<std::thread> threads;
-        {
-            std::unique_lock lock(mutex);
-            // Each thread gets kFinGrace to say Fin and drop; then
-            // SHUT_RDWR frees any still stuck mid-send to a peer
-            // that stopped reading.
-            cv.wait_for(lock, kFinGrace,
-                        [this] { return conns.empty(); });
-            for (const auto &c : conns)
-                ::shutdown(c->fd, SHUT_RDWR);
-            threads.swap(connThreads);
-        }
-        for (auto &t : threads)
-            t.join();
+        // cannot interleave. Each thread gets kFinGrace to say Fin
+        // and return; then SHUT_RDWR frees any still stuck mid-send
+        // to a peer that stopped reading.
+        server.stopAccepting();
+        server.shutdownConns(SHUT_RD);
+        if (!server.waitIdle(kFinGrace))
+            server.shutdownConns(SHUT_RDWR);
+        server.join();
 
         // Spawned workers exit on Fin / the dropped connection; a
         // hung one (fault injection) gets a SIGKILL after a short
@@ -922,9 +797,7 @@ struct RemoteBackend::Impl
 
 RemoteBackend::RemoteBackend(RemoteBackendOptions opts)
     : impl_(std::make_unique<Impl>(std::move(opts)))
-{
-    impl_->start();
-}
+{}
 
 RemoteBackend::~RemoteBackend()
 {
@@ -949,7 +822,7 @@ RemoteBackend::run(const std::vector<ExperimentSpec> &specs,
 uint16_t
 RemoteBackend::port() const
 {
-    return impl_->port;
+    return impl_->server.port();
 }
 
 void
@@ -961,8 +834,7 @@ RemoteBackend::stop()
 std::map<std::string, uint64_t>
 RemoteBackend::errorCounts() const
 {
-    std::lock_guard lock(impl_->mutex);
-    return impl_->errors;
+    return impl_->server.errorCounts();
 }
 
 // ---------------------------------------------------------------
@@ -972,7 +844,7 @@ RemoteBackend::errorCounts() const
 WorkerStats
 runWorkerLoop(const WorkerOptions &opts)
 {
-    const int fd = connectTo(opts.host, opts.port);
+    const int fd = net::connectTcp(opts.host, opts.port);
     uint8_t hello[4];
     tracefile::putLe32(hello, workProtocolVersion);
     if (!sendF(fd, WorkFrame::Hello, hello, sizeof hello)) {
@@ -1037,7 +909,7 @@ runWorkerLoop(const WorkerOptions &opts)
 RemoteCacheStore::RemoteCacheStore(const std::string &host,
                                    uint16_t port)
 {
-    fd_ = connectTo(host, port);
+    fd_ = net::connectTcp(host, port);
     uint8_t hello[4];
     tracefile::putLe32(hello, workProtocolVersion);
     if (!sendF(fd_, WorkFrame::Hello, hello, sizeof hello)) {

@@ -5,7 +5,11 @@
  * points, replay them through the stock in-process path and return
  * the versioned JSON report. The same connection doubles as a
  * shared result-cache transport, so a cluster-wide rerun replays
- * only novel points (docs/distributed.md).
+ * only novel points (docs/distributed.md). The listener, accept
+ * loop, connection threads and fds belong to the connection core
+ * shared with the live service (net/conn_server.hh); the head keeps
+ * only per-connection protocol state, the work queue and worker
+ * supervision.
  *
  * Wire protocol "WRK1", framed by net/frame.hh (the same 12-byte
  * little-endian header as the live service's "WSV1"):
@@ -52,6 +56,9 @@
  *    The last charge completes the point in-band as ok=false
  *    ("poison-point"), so a point that crashes every worker cannot
  *    stall the sweep.
+ *  - A failed accept() (fd exhaustion and the like) is counted
+ *    ("accept-failed") and retried after a short back-off; the
+ *    queued connection is served once a descriptor frees up.
  *  - A head that spawned its own workers reaps them, respawns one
  *    per charge, and fails the remaining points in-band once none
  *    is alive and no connection is open ("no-live-workers"). A head
@@ -169,9 +176,11 @@ class RemoteBackend final : public ExecutionBackend
     uint16_t port() const;
 
     /**
-     * Shut down: Fin to connected workers, close the listener and
-     * all connections, reap spawned workers (SIGKILL after a short
-     * grace). Idempotent; the destructor calls it.
+     * Shut down: stop accepting, half-close every connection so its
+     * thread sends Fin on the way out, give those threads a second
+     * before a full shutdown, join them, then reap spawned workers
+     * (SIGKILL after a short grace). Idempotent; the destructor
+     * calls it.
      */
     void stop();
 
@@ -181,7 +190,8 @@ class RemoteBackend final : public ExecutionBackend
      * "malformed-result", "poison-point", "no-live-workers",
      * "worker-reported-error", "bad-hello",
      * "bad-magic", "bad-frame-type", "oversized-frame",
-     * "truncated-frame", "bad-cache-hash", "cache-put-failed".
+     * "truncated-frame", "bad-cache-hash", "cache-put-failed",
+     * "accept-failed".
      * Absent key = zero (docs/distributed.md tabulates them).
      */
     std::map<std::string, uint64_t> errorCounts() const;

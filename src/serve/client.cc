@@ -1,12 +1,7 @@
 #include "client.hh"
 
-#include <cstring>
 #include <stdexcept>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "tracefile/format.hh"
@@ -26,29 +21,6 @@ Client::close()
         ::close(fd_);
         fd_ = -1;
     }
-}
-
-void
-Client::connect(const std::string &host, uint16_t port)
-{
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0)
-        throw std::runtime_error("socket() failed");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-        close();
-        throw std::runtime_error("bad host address: " + host);
-    }
-    if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof addr) != 0) {
-        close();
-        throw std::runtime_error("cannot connect to " + host + ":" +
-                                 std::to_string(port));
-    }
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 void

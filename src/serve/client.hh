@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "net/conn_server.hh"
 #include "serve/protocol.hh"
 #include "trace/transaction.hh"
 
@@ -36,7 +37,11 @@ class Client
      * Connect to @p host:@p port (numeric IPv4 host).
      * @throws std::runtime_error on connect failure.
      */
-    void connect(const std::string &host, uint16_t port);
+    void
+    connect(const std::string &host, uint16_t port)
+    {
+        fd_ = net::connectTcp(host, port);
+    }
 
     /** Send Hello with @p streamId. @throws on send failure. */
     void hello(uint32_t streamId);

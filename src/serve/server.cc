@@ -1,15 +1,11 @@
 #include "server.hh"
 
-#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include "common/simd.hh"
 #include "runner/report.hh"
@@ -34,7 +30,9 @@ covOf(const stats::RunningStat &s)
 } // namespace
 
 Server::Server(const ServerConfig &cfg)
-    : cfg_(cfg), engine_(cfg.engine)
+    : cfg_(cfg), engine_(cfg.engine),
+      net_([this](int fd, uint64_t) { runConnection(fd); },
+           cfg.maxConns)
 {
     if (!cfg_.captureDir.empty()) {
         std::error_code ec;
@@ -49,82 +47,28 @@ Server::Server(const ServerConfig &cfg)
 Server::~Server()
 {
     requestStop();
-    if (acceptThread_.joinable() || !drained_)
+    if (!drained_)
         wait();
 }
 
 void
 Server::start()
 {
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listenFd_ < 0)
-        throw std::runtime_error("socket() failed");
-    const int one = 1;
-    ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(cfg_.port);
-    if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof addr) != 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-        throw std::runtime_error(
-            "cannot bind 127.0.0.1:" + std::to_string(cfg_.port) +
-            ": " + std::strerror(errno));
-    }
-    socklen_t len = sizeof addr;
-    ::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-                  &len);
-    port_ = ntohs(addr.sin_port);
-    if (::listen(listenFd_, 128) != 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-        throw std::runtime_error("listen() failed");
-    }
     startTime_ = std::chrono::steady_clock::now();
     engine_.start();
-    acceptThread_ =
-        std::thread([this, fd = listenFd_] { acceptLoop(fd); });
+    net_.start(cfg_.port);
 }
 
 void
-Server::acceptLoop(int listenFd)
+Server::runConnection(int fd)
 {
-    for (;;) {
-        const int cfd = ::accept(listenFd, nullptr, nullptr);
-        if (cfd < 0) {
-            if (errno == EINTR)
-                continue;
-            break; // listener closed by shutdownAll()
-        }
-        if (stopFlag_.load()) {
-            ::close(cfd);
-            continue;
-        }
-        const int one = 1;
-        ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one,
-                     sizeof one);
-        auto conn = std::make_shared<ConnState>();
-        conn->fd = cfd;
-        bool atCap = false;
-        {
-            std::lock_guard lock(connMutex_);
-            conn->id = opened_++;
-            conns_.push_back(conn);
-            connThreads_.emplace_back(
-                [this, conn] { runConnection(conn); });
-            atCap = cfg_.maxConns && opened_ >= cfg_.maxConns;
-        }
-        if (atCap)
-            break; // served the configured connection budget
+    if (stopFlag_.load())
+        return; // accepted mid-drain: closed unserved
+    auto conn = std::make_shared<ConnState>();
+    {
+        std::lock_guard lock(connMutex_);
+        conns_.push_back(conn);
     }
-}
-
-void
-Server::runConnection(std::shared_ptr<ConnState> conn)
-{
     std::vector<uint8_t> payload;
     std::unique_ptr<tracefile::TraceFileWriter> capture;
     bool helloSeen = false;
@@ -133,7 +77,7 @@ Server::runConnection(std::shared_ptr<ConnState> conn)
     try {
         for (;;) {
             FrameHeader h;
-            const RecvStatus st = recvFrame(conn->fd, h, payload);
+            const RecvStatus st = recvFrame(fd, h, payload);
             if (st == RecvStatus::CleanEof) {
                 // EOF without Bye: an error mid-stream, a harmless
                 // probe before any frame.
@@ -208,7 +152,7 @@ Server::runConnection(std::shared_ptr<ConnState> conn)
                     tracefile::putLe64(
                         ack, conn->ticket.accepted.load(
                                  std::memory_order_relaxed));
-                    if (!sendFrame(conn->fd, FrameType::Ack, 0,
+                    if (!sendFrame(fd, FrameType::Ack, 0,
                                    ack, sizeof ack)) {
                         err = "disconnect";
                         break;
@@ -219,7 +163,7 @@ Server::runConnection(std::shared_ptr<ConnState> conn)
                     requestStop();
             } else if (type == FrameType::StatsReq) {
                 const std::string json = snapshotJson(false);
-                if (!sendFrame(conn->fd, FrameType::StatsReply, 0,
+                if (!sendFrame(fd, FrameType::StatsReply, 0,
                                json.data(), json.size())) {
                     err = "disconnect";
                     break;
@@ -228,7 +172,7 @@ Server::runConnection(std::shared_ptr<ConnState> conn)
                 engine_.drainWait(conn->ticket);
                 conn->clean.store(true); // before the summary
                 const std::string json = connSummaryJson(*conn);
-                sendFrame(conn->fd, FrameType::ByeAck, 0,
+                sendFrame(fd, FrameType::ByeAck, 0,
                           json.data(), json.size());
                 clean = true;
                 break;
@@ -242,7 +186,7 @@ Server::runConnection(std::shared_ptr<ConnState> conn)
         (void)e;
     }
     if (!err.empty())
-        sendFrame(conn->fd, FrameType::Error, 0, err.data(),
+        sendFrame(fd, FrameType::Error, 0, err.data(),
                   err.size()); // best effort
     // Every admitted write must be encoded before the connection is
     // reported closed, so per-connection telemetry is final and the
@@ -253,21 +197,9 @@ Server::runConnection(std::shared_ptr<ConnState> conn)
     conn->lastError = err;
     conn->clean.store(clean);
     conn->open.store(false);
-    {
-        std::lock_guard lock(conn->fdMutex);
-        ::close(conn->fd);
-        conn->fd = -1;
-    }
     if (!err.empty())
-        noteError(err);
+        net_.count(err);
     closed_.fetch_add(1);
-}
-
-void
-Server::noteError(const std::string &name)
-{
-    std::lock_guard lock(errMutex_);
-    ++errorCounts_[name];
 }
 
 void
@@ -307,36 +239,13 @@ Server::shutdownAll()
 {
     if (drained_)
         return;
-    // 1. Stop accepting: shutting the listener down wakes
-    //    accept(); it is closed only after the join, so the fd
-    //    cannot be recycled under a thread still using it.
-    if (listenFd_ >= 0)
-        ::shutdown(listenFd_, SHUT_RDWR);
-    if (acceptThread_.joinable())
-        acceptThread_.join();
-    if (listenFd_ >= 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
-    // 2. Unblock every reader; each drains its admitted writes,
-    //    closes its capture file and exits.
-    {
-        std::lock_guard lock(connMutex_);
-        for (const auto &conn : conns_) {
-            std::lock_guard fdLock(conn->fdMutex);
-            if (conn->fd >= 0)
-                ::shutdown(conn->fd, SHUT_RDWR);
-        }
-    }
-    std::vector<std::thread> threads;
-    {
-        std::lock_guard lock(connMutex_);
-        threads.swap(connThreads_);
-    }
-    for (auto &t : threads)
-        t.join();
-    // 3. Only now stop the encode workers: nothing is left to
-    //    admit, and the queues drain to empty before the join.
+    // Stop accepting, then unblock every reader; each drains its
+    // admitted writes, closes its capture file and exits. Only then
+    // stop the encode workers: nothing is left to admit, and the
+    // queues drain to empty before the join.
+    net_.stopAccepting();
+    net_.shutdownConns(SHUT_RDWR);
+    net_.join();
     engine_.stop();
     drained_ = true;
 }
@@ -468,14 +377,11 @@ Server::snapshotJson(bool final) const
     os << "]";
 
     os << ",\"errors\":{";
-    {
-        std::lock_guard lock(errMutex_);
-        bool first = true;
-        for (const auto &[name, count] : errorCounts_) {
-            os << (first ? "" : ",") << "\""
-               << runner::jsonEscape(name) << "\":" << count;
-            first = false;
-        }
+    bool first = true;
+    for (const auto &[name, count] : net_.errorCounts()) {
+        os << (first ? "" : ",") << "\""
+           << runner::jsonEscape(name) << "\":" << count;
+        first = false;
     }
     os << "}";
 

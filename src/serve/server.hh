@@ -1,24 +1,28 @@
 /**
  * @file
- * Server: the live write-stream service around BankEngine — TCP
- * listener, per-connection reader threads, telemetry snapshots and
- * the graceful-drain lifecycle. tools/wlcrc_serve is a thin CLI
- * around this class; tests and the serve bench embed it in-process.
+ * Server: the live write-stream service around BankEngine — the
+ * per-connection reader, telemetry snapshots and the graceful-drain
+ * lifecycle, on the shared connection core (net/conn_server.hh).
+ * tools/wlcrc_serve is a thin CLI around this class; tests and the
+ * serve bench embed it in-process.
  *
- * Threads: one accept loop, one reader thread per connection, one
- * encode worker per bank (BankEngine). A reader decodes frames,
- * optionally captures accepted records to a per-stream WLCTRC02/03
- * file, and submits them to the engine; backpressure propagates
- * from a full bank queue through the blocked reader to the
- * client's TCP window. Telemetry requests are answered on the
- * requesting connection's own thread from the engine's seqlock
- * snapshots, so a STATS never stalls encode.
+ * Threads: the ConnServer accept loop, one reader thread per
+ * connection, one encode worker per bank (BankEngine). A reader
+ * decodes frames, optionally captures accepted records to a
+ * per-stream WLCTRC02/03 file, and submits them to the engine;
+ * backpressure propagates from a full bank queue through the
+ * blocked reader to the client's TCP window. Telemetry requests are
+ * answered on the requesting connection's own thread from the
+ * engine's seqlock snapshots, so a STATS never stalls encode.
+ * ConnServer alone closes connection fds, after their reader
+ * returns; a connection accepted once a stop was requested is
+ * closed unserved.
  *
  * Shutdown (requestStop(), a signal, --run-seconds, --max-writes or
- * --max-conns): stop accepting, shut down every connection socket,
- * join readers (each drains its admitted writes and closes its
- * capture file with a valid CRC'd footer), stop the engine, then
- * report exact merged results.
+ * --max-conns): stopAccepting(), shutdownConns(SHUT_RDWR), join the
+ * readers (each drains its admitted writes and closes its capture
+ * file with a valid CRC'd footer), stop the engine, then report
+ * exact merged results.
  */
 
 #ifndef WLCRC_SERVE_SERVER_HH
@@ -27,13 +31,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "net/conn_server.hh"
 #include "runner/experiment.hh"
 #include "serve/engine.hh"
 #include "tracefile/writer.hh"
@@ -58,15 +61,16 @@ struct ServerConfig
     tracefile::WriterOptions captureOptions;
     uint64_t maxWrites = 0;  //!< stop after admitting this many (0 = off)
     double runSeconds = 0;   //!< stop after this much wall time (0 = off)
-    unsigned maxConns = 0;   //!< stop after this many connections (0 = off)
+    /**
+     * Accept this many connections, then stop once they have all
+     * closed (0 = off). It is the ConnServer's accept limit.
+     */
+    unsigned maxConns = 0;
 };
 
-/** Per-connection bookkeeping (registry entry + engine ticket). */
+/** Per-connection telemetry (registry entry + engine ticket). */
 struct ConnState
 {
-    uint64_t id = 0;          //!< accept order
-    int fd = -1;
-    std::mutex fdMutex;       //!< guards fd close vs shutdown race
     std::atomic<uint32_t> streamId{0};
     std::atomic<bool> hasHello{false};
     std::atomic<bool> open{true};
@@ -96,7 +100,7 @@ class Server
     void start();
 
     /** Bound TCP port (the ephemeral one when configured with 0). */
-    uint16_t port() const { return port_; }
+    uint16_t port() const { return net_.port(); }
 
     /**
      * Ask the server to stop. Async-signal-safe (an atomic store),
@@ -129,33 +133,25 @@ class Server
     uint64_t accepted() const { return engine_.totalAccepted(); }
 
   private:
-    /** Takes the fd by value: shutdownAll() clears listenFd_. */
-    void acceptLoop(int listenFd);
     runner::ExperimentResult resultShell() const;
-    void runConnection(std::shared_ptr<ConnState> conn);
-    void noteError(const std::string &name);
+    void runConnection(int fd);
     std::string connSummaryJson(const ConnState &conn) const;
     void shutdownAll();
 
     ServerConfig cfg_;
     BankEngine engine_;
-    int listenFd_ = -1;
-    uint16_t port_ = 0;
-    std::thread acceptThread_;
     std::chrono::steady_clock::time_point startTime_;
 
     mutable std::mutex connMutex_;
     std::vector<std::shared_ptr<ConnState>> conns_;
-    std::vector<std::thread> connThreads_;
-    uint64_t opened_ = 0;
     std::atomic<uint64_t> closed_{0};
-
-    mutable std::mutex errMutex_;
-    std::map<std::string, uint64_t> errorCounts_;
 
     std::atomic<bool> stopFlag_{false};
     bool drained_ = false;
     std::string stopReason_;
+
+    /** Last: destroyed first, while everything it runs is alive. */
+    net::ConnServer net_;
 };
 
 } // namespace wlcrc::serve

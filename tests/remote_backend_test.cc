@@ -644,6 +644,31 @@ TEST(RemoteFaults, TruncatedFrameIsCounted)
     ::close(fd);
 }
 
+TEST(RemoteFaults, AcceptSurvivesFdExhaustion)
+{
+    auto head = bareHead();
+    int fd = -1;
+    {
+        test::OneFreeFd limit;
+        ASSERT_GE(limit.spare, 0);
+        // The client takes the one free descriptor, so the head's
+        // accept() of this very connection fails with EMFILE and
+        // leaves it queued.
+        fd = rawConnect(head->port());
+        ASSERT_EQ(fd, limit.spare);
+        EXPECT_TRUE(waitForCounter(*head, "accept-failed"));
+    }
+    // Descriptors are back: the next retry must serve the queued
+    // connection.
+    timeval tv{};
+    tv.tv_sec = 5;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    sendHello(fd);
+    expectServed(fd);
+    EXPECT_GE(head->errorCounts()["accept-failed"], 1u);
+    ::close(fd);
+}
+
 TEST(RemoteFaults, MalformedResultRequeuesThePoint)
 {
     auto head = bareHead();
@@ -1013,6 +1038,18 @@ TEST(RemoteBackendLongPoll, SpawnedWorkerExitingWhileIdleEndsRunWithNoLiveWorker
     EXPECT_EQ(head->errorCounts(), (Counts{{"no-live-workers", 1}}));
     head->stop();
     fs::remove(pidFile);
+}
+
+TEST(WorkerCli, RejectsMissingAndRepeatedFlagsWithUsageError)
+{
+    for (const char *bad :
+         {"--connect 1 --connect 2", "--connect 1 --loops 1 --loops 2",
+          "--connect 1 --simd scalar --simd auto", "--connect"}) {
+        EXPECT_EQ(test::exitCodeOf(std::string(WLCRC_WORKER_BIN) + " " +
+                                   bad + " 2>/dev/null"),
+                  2)
+            << bad;
+    }
 }
 
 TEST(RemoteFaults, CliHeadSurvivesAKilledWorker)

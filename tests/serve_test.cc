@@ -23,18 +23,26 @@
  */
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include "net/conn_server.hh"
+#include "net/frame.hh"
 #include "pcm/disturbance.hh"
 #include "pcm/energy_model.hh"
 #include "runner/json_mini.hh"
@@ -180,8 +188,12 @@ TEST(BoundedQueue, FullPushBlocksUntilConsumerDrains)
         pushed.store(true);
     });
     // The producer must stall, not complete: memory stays bounded by
-    // the preallocated ring no matter how fast producers are.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // the preallocated ring no matter how fast producers are. A push
+    // counts its stall before it waits, and nothing pops until below,
+    // so once the count reads 1 the push cannot have completed.
+    for (int waited = 0; q.stallCount() < 1 && waited < 5000; ++waited)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(q.stallCount(), 1u);
     EXPECT_FALSE(pushed.load());
     EXPECT_EQ(q.depth(), 2u);
 
@@ -442,6 +454,98 @@ TEST(Protocol, TruncatedFrameIsNamed)
     EXPECT_STREQ(serve::recvErrorName(st), "truncated-frame");
 }
 
+// ------------------------------------------------ connection core
+
+TEST(ConnServer, ClosesAConnectionOnlyAfterItsHandlerReturns)
+{
+    std::promise<void> release;
+    const std::shared_future<void> released =
+        release.get_future().share();
+    std::atomic<uint64_t> seenId{UINT64_MAX};
+    net::ConnServer conns([&](int fd, uint64_t id) {
+        seenId.store(id);
+        const char hi = 'x';
+        net::writeAll(fd, &hi, 1);
+        released.wait_for(std::chrono::seconds(10));
+    });
+    conns.start(0);
+    ASSERT_GT(conns.port(), 0);
+    const int fd = net::connectTcp("127.0.0.1", conns.port());
+    timeval tv{};
+    tv.tv_sec = 5;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+
+    char c = 0;
+    ASSERT_EQ(::read(fd, &c, 1), 1);
+    EXPECT_EQ(c, 'x');
+    EXPECT_EQ(seenId.load(), 0u);
+    // The handler is still parked, so its fd is still open: no EOF.
+    pollfd p{fd, POLLIN, 0};
+    EXPECT_EQ(::poll(&p, 1, 0), 0);
+    release.set_value();
+    EXPECT_EQ(::read(fd, &c, 1), 0); // closed once the handler returned
+    EXPECT_TRUE(conns.waitIdle(std::chrono::seconds(5)));
+    ::close(fd);
+}
+
+TEST(ConnServer, ShutdownConnsEndsBlockedHandlersAndStopClosesListener)
+{
+    std::atomic<int> entered{0};
+    std::atomic<int> sawEof{0};
+    net::ConnServer conns([&](int fd, uint64_t) {
+        entered.fetch_add(1);
+        char c;
+        if (::read(fd, &c, 1) == 0)
+            sawEof.fetch_add(1);
+    });
+    conns.start(0);
+    const uint16_t port = conns.port();
+    const int a = net::connectTcp("127.0.0.1", port);
+    const int b = net::connectTcp("127.0.0.1", port);
+    for (int waited = 0; entered.load() < 2 && waited < 5000; ++waited)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(entered.load(), 2);
+
+    conns.stopAccepting();
+    conns.stopAccepting(); // idempotent
+    EXPECT_THROW(net::connectTcp("127.0.0.1", port),
+                 std::runtime_error);
+    // Both handlers sit in read() until their sockets are shut down.
+    EXPECT_FALSE(conns.waitIdle(std::chrono::milliseconds(0)));
+    conns.shutdownConns(SHUT_RD);
+    EXPECT_TRUE(conns.waitIdle(std::chrono::seconds(5)));
+    conns.join();
+    EXPECT_EQ(sawEof.load(), 2);
+    ::close(a);
+    ::close(b);
+}
+
+TEST(ConnServer, ConnectTcpNamesTheFailure)
+{
+    // A bound socket that never listens refuses connections.
+    const int s = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::bind(s, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof addr),
+              0);
+    socklen_t len = sizeof addr;
+    ::getsockname(s, reinterpret_cast<sockaddr *>(&addr), &len);
+    try {
+        ::close(net::connectTcp("127.0.0.1", ntohs(addr.sin_port)));
+        ADD_FAILURE() << "connected to a port nobody listens on";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(std::strerror(ECONNREFUSED)),
+                  std::string::npos)
+            << what;
+    }
+    ::close(s);
+    EXPECT_THROW(net::connectTcp("not-an-address", 1),
+                 std::runtime_error);
+}
+
 // ------------------------------------------- in-process server+client
 
 TEST(Server, HelloWriteAckStatsByeRoundTrip)
@@ -517,6 +621,40 @@ TEST(Server, WriteWithoutHelloIsRejectedByName)
     server.wait();
 }
 
+TEST(Server, AcceptFailuresShowInStatsErrors)
+{
+    serve::ServerConfig cfg;
+    cfg.engine.banks = 1;
+    serve::Server server(cfg);
+    server.start();
+
+    serve::Client client;
+    bool counted = false;
+    {
+        test::OneFreeFd limit;
+        ASSERT_GE(limit.spare, 0);
+        // The client takes the one free descriptor: the server's
+        // accept() fails with EMFILE and leaves the connection queued.
+        client.connect("127.0.0.1", server.port());
+        ASSERT_EQ(client.fd(), limit.spare);
+        for (int waited = 0; !counted && waited < 5000; waited += 10) {
+            counted = server.snapshotJson().find("\"accept-failed\"") !=
+                      std::string::npos;
+            if (!counted)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(10));
+        }
+    }
+    EXPECT_TRUE(counted);
+    // Descriptors are back: the queued connection is served.
+    client.hello(7);
+    const auto stats = runner::parseJson(client.stats());
+    EXPECT_GE(stats.at("errors").at("accept-failed").asU64(), 1u);
+    (void)client.bye();
+    server.requestStop();
+    server.wait();
+}
+
 // ------------------------------------------------- subprocess harness
 
 struct ServerProc
@@ -568,6 +706,28 @@ freshDir(const std::string &name)
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     return dir;
+}
+
+// ------------------------------------------------------ serve CLI
+
+/** Exit code of wlcrc_serve run with @p args (output dropped). */
+int
+serveExit(const std::string &args)
+{
+    return test::exitCodeOf(std::string(WLCRC_SERVE_BIN) + " " + args +
+                            " 2>/dev/null");
+}
+
+TEST(ServeCli, RejectsBadPortsAndRepeatedFlagsWithUsageError)
+{
+    // --run-seconds first: a case that wrongly starts the server
+    // ends after a second instead of hanging the suite.
+    for (const char *bad :
+         {"--port 70000", "--port abc", "--port -1", "--port 12x",
+          "--port 4000 --port 4001", "--banks 2 --banks 3", "--port"})
+        EXPECT_EQ(serveExit(std::string("--run-seconds 1 ") + bad), 2)
+            << bad;
+    EXPECT_EQ(serveExit("--help"), 0);
 }
 
 // -------------------------------------- capture-replay equivalence

@@ -1,9 +1,11 @@
 /**
  * @file
- * Shared test helpers: run a shell command and capture its stdout,
- * or spawn one in the background and reap (or kill) it later. Used
- * by the golden-output bench harness, the wlcrc_sim --json round
- * trip, and the distributed-backend suite's worker subprocesses.
+ * Shared test helpers: run a shell command and capture its stdout
+ * or exit code, or spawn one in the background and reap (or kill)
+ * it later; and starve the test process of descriptors. Used by the
+ * golden-output bench harness, the wlcrc_sim --json round trip, the
+ * tools' usage-error tests, and the distributed-backend suite's
+ * worker subprocesses and fd-exhaustion fault.
  */
 
 #ifndef WLCRC_TESTS_SUBPROCESS_HH
@@ -15,6 +17,8 @@
 #include <stdexcept>
 #include <string>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -41,6 +45,40 @@ captureStdout(const std::string &cmd, int &exit_code)
     exit_code = ::pclose(pipe);
     return out;
 }
+
+/** Exit code of @p cmd, or -1 if it did not exit normally. */
+inline int
+exitCodeOf(const std::string &cmd)
+{
+    int status = -1;
+    captureStdout(cmd, status);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/**
+ * Lowers RLIMIT_NOFILE so exactly one descriptor is free — the
+ * lowest unused number, `spare` — and restores the limit when it
+ * goes out of scope, on every path out of a test.
+ */
+struct OneFreeFd
+{
+    rlimit saved{};
+    int spare = -1; //!< the free descriptor; -1 if setup failed
+
+    OneFreeFd()
+    {
+        ::getrlimit(RLIMIT_NOFILE, &saved);
+        const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+        if (fd < 0)
+            return;
+        ::close(fd);
+        rlimit low = saved;
+        low.rlim_cur = static_cast<rlim_t>(fd) + 1;
+        if (::setrlimit(RLIMIT_NOFILE, &low) == 0)
+            spare = fd;
+    }
+    ~OneFreeFd() { ::setrlimit(RLIMIT_NOFILE, &saved); }
+};
 
 /**
  * Start @p cmd via `/bin/sh -c` without waiting, returning the

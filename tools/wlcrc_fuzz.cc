@@ -46,8 +46,6 @@
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -56,6 +54,7 @@
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "coset/codec.hh"
+#include "net/conn_server.hh"
 #include "net/frame.hh"
 #include "pcm/disturbance.hh"
 #include "pcm/energy_model.hh"
@@ -353,16 +352,10 @@ lzFuzzCase(uint64_t iseed, LzScratch &scratch)
 int
 wrk1Connect(uint16_t port)
 {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof addr) != 0) {
-        ::close(fd);
+    int fd = -1;
+    try {
+        fd = net::connectTcp("127.0.0.1", port);
+    } catch (const std::exception &) {
         return -1;
     }
     timeval tv{};

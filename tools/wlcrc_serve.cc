@@ -6,8 +6,9 @@
  * telemetry and optional WLCTRC02 capture of every accepted stream.
  *
  * Options:
- *   --port <P>             listen port on 127.0.0.1 (default 0 =
- *                          ephemeral; the bound port is printed as
+ *   --port <P>             listen port on 127.0.0.1, 0..65535
+ *                          (default 0 = ephemeral; the bound port is
+ *                          printed as
  *                          "wlcrc_serve: listening on 127.0.0.1:P")
  *   --scheme <name>        encoding scheme (default WLCRC-16)
  *   --banks <N>            device banks / encode workers (default 4);
@@ -32,16 +33,21 @@
  *   --s3 <pJ> --s4 <pJ>    intermediate-state SET energy overrides
  *   --help                 print usage and exit 0
  *
+ * A malformed --port, a missing value or a repeated value flag is a
+ * usage error (exit 2).
+ *
  * SIGINT/SIGTERM drain gracefully: connections are shut down, every
  * admitted write is encoded, capture files get valid CRC'd footers,
  * and the final exact telemetry report is printed as JSON on stdout.
  */
 
-#include <atomic>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <set>
+#include <stdexcept>
 #include <string>
 
 #include "serve/server.hh"
@@ -82,83 +88,91 @@ usage(const char *argv0)
         argv0);
 }
 
+/** Strict 0..65535 (0 = ephemeral). @throws std::invalid_argument. */
+uint16_t
+parsePort(const std::string &v)
+{
+    unsigned port = 0;
+    const char *end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, port);
+    if (v.empty() || ec != std::errc() || ptr != end || port > 65535)
+        throw std::invalid_argument("--port must be 0..65535, got \"" +
+                                    v + "\"");
+    return static_cast<uint16_t>(port);
+}
+
+/**
+ * @return the options, or nullopt after printing why they are bad.
+ * @throws std::invalid_argument on a bad --port, a missing value or
+ *         a repeated value flag.
+ */
 std::optional<Options>
 parse(int argc, char **argv)
 {
     Options o;
+    std::set<std::string> seen;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
+        // Every flag but the two switches takes one value and may
+        // appear once: a repeat is a usage error, never a silent
+        // override.
         auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
+            if (!seen.insert(a).second)
+                throw std::invalid_argument(a + " given twice");
+            if (i + 1 >= argc)
+                throw std::invalid_argument(a + " needs a value");
+            return argv[++i];
         };
         if (a == "--port") {
-            if (const char *v = next())
-                o.cfg.port = static_cast<uint16_t>(
-                    std::strtoul(v, nullptr, 0));
+            o.cfg.port = parsePort(next());
         } else if (a == "--scheme") {
-            if (const char *v = next())
-                o.cfg.engine.scheme = v;
+            o.cfg.engine.scheme = next();
         } else if (a == "--banks") {
-            if (const char *v = next())
-                o.cfg.engine.banks = std::strtoul(v, nullptr, 0);
+            o.cfg.engine.banks = std::strtoul(next(), nullptr, 0);
         } else if (a == "--seed") {
-            if (const char *v = next())
-                o.cfg.engine.seed = std::strtoull(v, nullptr, 0);
+            o.cfg.engine.seed = std::strtoull(next(), nullptr, 0);
         } else if (a == "--queue-capacity") {
-            if (const char *v = next())
-                o.cfg.engine.queueCapacity =
-                    std::strtoull(v, nullptr, 0);
+            o.cfg.engine.queueCapacity =
+                std::strtoull(next(), nullptr, 0);
         } else if (a == "--capture") {
-            if (const char *v = next())
-                o.cfg.captureDir = v;
+            o.cfg.captureDir = next();
         } else if (a == "--capture-format") {
-            if (const char *v = next()) {
-                const std::string f = v;
-                if (f == "v2") {
-                    o.cfg.captureOptions.format =
-                        tracefile::TraceFormat::v2;
-                } else if (f == "v3") {
-                    o.cfg.captureOptions.format =
-                        tracefile::TraceFormat::v3;
-                } else {
-                    std::fprintf(
-                        stderr,
-                        "--capture-format must be v2 or v3\n");
-                    return std::nullopt;
-                }
+            const std::string f = next();
+            if (f == "v2") {
+                o.cfg.captureOptions.format =
+                    tracefile::TraceFormat::v2;
+            } else if (f == "v3") {
+                o.cfg.captureOptions.format =
+                    tracefile::TraceFormat::v3;
+            } else {
+                std::fprintf(stderr,
+                             "--capture-format must be v2 or v3\n");
+                return std::nullopt;
             }
         } else if (a == "--capture-codec") {
-            if (const char *v = next()) {
-                try {
-                    o.cfg.captureOptions.codec =
-                        tracefile::parseCodecName(v);
-                } catch (const std::exception &e) {
-                    std::fprintf(stderr, "--capture-codec: %s\n",
-                                 e.what());
-                    return std::nullopt;
-                }
+            const char *v = next();
+            try {
+                o.cfg.captureOptions.codec =
+                    tracefile::parseCodecName(v);
+            } catch (const std::exception &e) {
+                std::fprintf(stderr, "--capture-codec: %s\n", e.what());
+                return std::nullopt;
             }
         } else if (a == "--max-writes") {
-            if (const char *v = next())
-                o.cfg.maxWrites = std::strtoull(v, nullptr, 0);
+            o.cfg.maxWrites = std::strtoull(next(), nullptr, 0);
         } else if (a == "--run-seconds") {
-            if (const char *v = next())
-                o.cfg.runSeconds = std::strtod(v, nullptr);
+            o.cfg.runSeconds = std::strtod(next(), nullptr);
         } else if (a == "--max-conns") {
-            if (const char *v = next())
-                o.cfg.maxConns = std::strtoul(v, nullptr, 0);
+            o.cfg.maxConns = std::strtoul(next(), nullptr, 0);
         } else if (a == "--vnr") {
             o.cfg.engine.vnr = true;
         } else if (a == "--wear") {
-            if (const char *v = next())
-                o.cfg.engine.wearEndurance =
-                    std::strtoull(v, nullptr, 0);
+            o.cfg.engine.wearEndurance =
+                std::strtoull(next(), nullptr, 0);
         } else if (a == "--s3") {
-            if (const char *v = next())
-                o.cfg.engine.s3 = std::strtod(v, nullptr);
+            o.cfg.engine.s3 = std::strtod(next(), nullptr);
         } else if (a == "--s4") {
-            if (const char *v = next())
-                o.cfg.engine.s4 = std::strtod(v, nullptr);
+            o.cfg.engine.s4 = std::strtod(next(), nullptr);
         } else if (a == "--help") {
             o.help = true;
         } else {
@@ -191,7 +205,13 @@ parse(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    const auto opts = parse(argc, argv);
+    std::optional<Options> opts;
+    try {
+        opts = parse(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "wlcrc_serve: %s\n", e.what());
+        return 2;
+    }
     if (!opts)
         return 2;
     if (opts->help) {

@@ -13,6 +13,8 @@
  * the byte-compared report stream, and a locally spawned worker
  * shares the terminal. Status goes to stderr.
  *
+ * A missing or repeated flag value is a usage error (exit 2).
+ *
  * The --kill-after / --hang-after flags are fault injection for the
  * test suite and CI chaos job — a worker that dies or hangs
  * mid-point must never change a sweep's bytes, only its wall time.
@@ -21,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -69,8 +72,13 @@ Options
 parse(int argc, char **argv)
 {
     Options o;
-    bool haveConnect = false;
+    std::set<std::string> seen;
     auto value = [&](int &i, const char *flag) -> std::string {
+        // One value per flag: a repeat is a usage error, never a
+        // silent override.
+        if (!seen.insert(flag).second)
+            throw std::runtime_error(std::string(flag) +
+                                     " given twice");
         if (i + 1 >= argc)
             throw std::runtime_error(std::string(flag) +
                                      " needs a value");
@@ -85,7 +93,6 @@ parse(int argc, char **argv)
                 value(i, "--connect"));
             o.worker.host = host;
             o.worker.port = port;
-            haveConnect = true;
         } else if (arg == "--loops") {
             o.loops = static_cast<unsigned>(
                 std::stoul(value(i, "--loops")));
@@ -103,7 +110,7 @@ parse(int argc, char **argv)
             throw std::runtime_error("unknown option " + arg);
         }
     }
-    if (!o.help && !haveConnect)
+    if (!o.help && !seen.count("--connect"))
         throw std::runtime_error("--connect HOST:PORT is required");
     return o;
 }
