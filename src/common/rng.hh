@@ -10,6 +10,7 @@
 #ifndef WLCRC_COMMON_RNG_HH
 #define WLCRC_COMMON_RNG_HH
 
+#include <cstddef>
 #include <cstdint>
 
 namespace wlcrc
@@ -26,8 +27,8 @@ class Rng
     /** Seed via SplitMix64 expansion of @p seed. */
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull);
 
-    /** @return next uniform 64-bit value. Inline: the disturbance
-     *  sampler draws per exposure on the replay hot path. */
+    /** @return next uniform 64-bit value. Inline: workload
+     *  synthesis draws several values per transaction. */
     uint64_t
     next()
     {
@@ -40,6 +41,31 @@ class Rng
         s_[2] ^= t;
         s_[3] = rotl(s_[3], 45);
         return result;
+    }
+
+    /**
+     * Fill @p out with the next @p n values: exactly n next() calls.
+     * The state lives in locals for the loop, so a bulk draw does not
+     * reload it through the (possibly aliasing) output pointer.
+     */
+    void
+    nextN(uint64_t *out, std::size_t n)
+    {
+        uint64_t s0 = s_[0], s1 = s_[1], s2 = s_[2], s3 = s_[3];
+        for (std::size_t i = 0; i < n; ++i) {
+            out[i] = rotl(s1 * 5, 7) * 9;
+            const uint64_t t = s1 << 17;
+            s2 ^= s0;
+            s3 ^= s1;
+            s1 ^= s2;
+            s0 ^= s3;
+            s2 ^= t;
+            s3 = rotl(s3, 45);
+        }
+        s_[0] = s0;
+        s_[1] = s1;
+        s_[2] = s2;
+        s_[3] = s3;
     }
 
     /** @return uniform value in [0, bound). @p bound must be > 0. */

@@ -47,40 +47,56 @@ DisturbanceModel::sample(const State *cells, std::size_t n,
     if (disturbed)
         disturbed->reset(static_cast<unsigned>(n));
     unsigned errors = 0;
-    // Only idle cells with at least one programmed neighbour can be
-    // disturbed; compute that candidate set word-at-a-time instead
-    // of scanning every cell. Candidates are visited in ascending
-    // cell order, so the rng draw sequence matches a linear scan.
+    // One draw slot per exposure: the candidate's bit in the word and
+    // its state's chance limit. A word holds at most 64 candidates of
+    // at most two exposures each.
+    uint8_t bit[128];
+    uint64_t limit[128];
+    uint64_t draw[128];
     const unsigned nw = updated.words();
     for (unsigned w = 0; w < nw; ++w) {
         const uint64_t u = updated.word(w);
         const uint64_t lo = w ? updated.word(w - 1) : 0;
         const uint64_t hi = w + 1 < nw ? updated.word(w + 1) : 0;
-        uint64_t cand =
-            ((u << 1) | (u >> 1) | (lo >> 63) | (hi << 63)) & ~u;
+        // Bit i of `left` / `right`: cell i-1 / i+1 was programmed.
+        const uint64_t left = (u << 1) | (lo >> 63);
+        const uint64_t right = (u >> 1) | (hi << 63);
+        uint64_t keep = ~u;
         if (static_cast<std::size_t>(w + 1) * 64 > n) {
             // Trim neighbour bits past the end of the line.
-            cand &= ~uint64_t{0} >>
+            keep &= ~uint64_t{0} >>
                     (static_cast<std::size_t>(w + 1) * 64 - n);
         }
+        uint64_t cand = (left | right) & keep;
+        const uint64_t two = left & right & keep;
+        if (!cand)
+            continue;
+
+        // Gather in ascending cell order. Both slots are written
+        // unconditionally; the count advances by the candidate's
+        // draws (0, 1 or 2), so the next candidate overwrites any
+        // slot this one did not claim.
+        const State *base = cells + static_cast<std::size_t>(w) * 64;
+        unsigned m = 0;
         while (cand) {
-            const unsigned i =
-                w * 64 +
+            const unsigned b =
                 static_cast<unsigned>(std::countr_zero(cand));
             cand &= cand - 1;
-            const double p = der_[stateIndex(cells[i])];
-            if (p <= 0.0)
-                continue;
-            const unsigned exposures = resetNeighbours(updated, i);
-            bool hit = false;
-            for (unsigned e = 0; e < exposures; ++e)
-                hit |= rng.chance(p);
-            if (hit) {
-                ++errors;
-                if (disturbed)
-                    disturbed->set(i);
-            }
+            const uint64_t lim = limit_[stateIndex(base[b])];
+            bit[m] = bit[m + 1] = static_cast<uint8_t>(b);
+            limit[m] = limit[m + 1] = lim;
+            m += (lim != noDraw) *
+                 (1 + static_cast<unsigned>((two >> b) & 1));
         }
+
+        rng.nextN(draw, m);
+        uint64_t hits = 0;
+        for (unsigned k = 0; k < m; ++k)
+            hits |= static_cast<uint64_t>((draw[k] >> 11) < limit[k])
+                    << bit[k];
+        errors += static_cast<unsigned>(std::popcount(hits));
+        if (disturbed)
+            disturbed->rawWords()[w] = hits;
     }
     return errors;
 }

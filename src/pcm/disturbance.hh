@@ -52,8 +52,20 @@ class DisturbanceModel
      * Each programmed cell exposes its linear neighbours (i-1, i+1);
      * an idle neighbour flanked by two programmed cells gets two
      * independent chances to be disturbed, matching the physical
-     * model of per-RESET heat pulses. Allocation-free: this is the
-     * write hot path's sampler.
+     * model of per-RESET heat pulses.
+     *
+     * Draw-then-decide, one 64-cell mask word at a time: gather the
+     * word's candidates (idle cells with a programmed neighbour),
+     * draw all their exposures in one Rng::nextN() call, then decide
+     * every hit without branches as (r >> 11) < ceil(p * 2^53), which
+     * is exactly Rng::chance(p).
+     *
+     * Draw-order contract (every golden depends on it): candidates
+     * are visited in ascending cell order and each draws one value
+     * per exposure, even after an earlier exposure hit; a state with
+     * DER p <= 0 draws nothing, any other p (NaN included, which
+     * never hits) draws. Allocation-free: fixed stack arrays of at
+     * most 128 draws per word; this is the write hot path's sampler.
      */
     unsigned sample(const State *cells, std::size_t n,
                     const CellMask &updated, Rng &rng,
@@ -76,7 +88,41 @@ class DisturbanceModel
                     const std::vector<bool> &updated) const;
 
   private:
+    /** Chance limit of a state that draws nothing (DER p <= 0). */
+    static constexpr uint64_t noDraw = ~uint64_t{0};
+
+    /**
+     * Integer form of Rng::chance(p): a draw r hits iff
+     * (r >> 11) < chanceLimit(p). (r >> 11) * 2^-53 < p holds iff
+     * (r >> 11) < ceil(p * 2^53), and p * 2^53 is exact, so no
+     * rounding separates the two. p >= 1 always hits; NaN draws but
+     * never hits; p <= 0 does not draw at all (noDraw).
+     */
+    static constexpr uint64_t
+    chanceLimit(double p)
+    {
+        if (p <= 0.0)
+            return noDraw;
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return uint64_t{1} << 53;
+        const double scaled = p * 0x1.0p53;
+        const auto floor = static_cast<uint64_t>(scaled);
+        return floor + (static_cast<double>(floor) < scaled);
+    }
+
+    static constexpr std::array<uint64_t, numStates>
+    chanceLimits(const std::array<double, numStates> &der)
+    {
+        std::array<uint64_t, numStates> limits{};
+        for (unsigned s = 0; s < numStates; ++s)
+            limits[s] = chanceLimit(der[s]);
+        return limits;
+    }
+
     std::array<double, numStates> der_{0.123, 0.0, 0.276, 0.152};
+    std::array<uint64_t, numStates> limit_ = chanceLimits(der_);
 };
 
 } // namespace wlcrc::pcm

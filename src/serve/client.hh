@@ -43,6 +43,15 @@ class Client
         fd_ = net::connectTcp(host, port);
     }
 
+    /** Take ownership of the TCP socket @p fd, connected or about
+     *  to be (tests that create the socket before connecting). */
+    void
+    adopt(int fd)
+    {
+        close();
+        fd_ = fd;
+    }
+
     /** Send Hello with @p streamId. @throws on send failure. */
     void hello(uint32_t streamId);
 

@@ -130,6 +130,19 @@ TEST(Rng, SeedsDiffer)
     EXPECT_LT(same, 2);
 }
 
+TEST(Rng, NextNEqualsRepeatedNext)
+{
+    Rng bulk(31), single(31);
+    uint64_t buf[1000];
+    const std::size_t sizes[] = {0, 1, 2, 7, 128, 1000};
+    for (const std::size_t n : sizes) {
+        bulk.nextN(buf, n);
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(buf[i], single.next()) << "n=" << n << " i=" << i;
+    }
+    EXPECT_EQ(bulk.next(), single.next());
+}
+
 TEST(Rng, NextBelowInRange)
 {
     Rng rng(7);

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -118,6 +121,173 @@ TEST(Disturbance, SampleConvergesToExpectation)
     for (int i = 0; i < n; ++i)
         total += d.sample(cells, updated, rng);
     EXPECT_NEAR(total / n, expect, 0.01);
+}
+
+/**
+ * The sampler as it was before draw-then-decide: one rng.chance(p)
+ * per exposure, cell by cell. The production sampler must match it
+ * draw for draw.
+ */
+unsigned
+referenceSample(const std::array<double, pcm::numStates> &der,
+                const State *cells, std::size_t n,
+                const pcm::CellMask &updated, Rng &rng,
+                pcm::CellMask *disturbed)
+{
+    if (disturbed)
+        disturbed->reset(static_cast<unsigned>(n));
+    unsigned errors = 0;
+    const unsigned nw = updated.words();
+    for (unsigned w = 0; w < nw; ++w) {
+        const uint64_t u = updated.word(w);
+        const uint64_t lo = w ? updated.word(w - 1) : 0;
+        const uint64_t hi = w + 1 < nw ? updated.word(w + 1) : 0;
+        uint64_t cand =
+            ((u << 1) | (u >> 1) | (lo >> 63) | (hi << 63)) & ~u;
+        if (static_cast<std::size_t>(w + 1) * 64 > n)
+            cand &= ~uint64_t{0} >>
+                    (static_cast<std::size_t>(w + 1) * 64 - n);
+        while (cand) {
+            const unsigned i =
+                w * 64 +
+                static_cast<unsigned>(std::countr_zero(cand));
+            cand &= cand - 1;
+            const double p = der[pcm::stateIndex(cells[i])];
+            if (p <= 0.0)
+                continue;
+            unsigned exposures = 0;
+            if (i > 0 && updated.test(i - 1))
+                ++exposures;
+            if (i + 1 < n && updated.test(i + 1))
+                ++exposures;
+            bool hit = false;
+            for (unsigned e = 0; e < exposures; ++e)
+                hit |= rng.chance(p);
+            if (hit) {
+                ++errors;
+                if (disturbed)
+                    disturbed->set(i);
+            }
+        }
+    }
+    return errors;
+}
+
+std::array<double, pcm::numStates>
+derOf(const DisturbanceModel &d)
+{
+    std::array<double, pcm::numStates> der{};
+    for (unsigned s = 0; s < pcm::numStates; ++s)
+        der[s] = d.der(pcm::stateFromIndex(s));
+    return der;
+}
+
+TEST(Disturbance, SampleMatchesReferenceDrawForDraw)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<DisturbanceModel> models = {
+        DisturbanceModel(),
+        // p = 0 on a non-S2 state, and a negative p.
+        DisturbanceModel({0.5, 0.0, 0.0, -0.25}),
+        // p = 1, p > 1 and NaN (draws, never hits).
+        DisturbanceModel({1.0, 0.2, 1.5, nan}),
+        // p * 2^53 integral: the ceil edge of the chance limit.
+        DisturbanceModel({0.25, 0.5, 0.375, 0x1.0p-53}),
+    };
+    const std::size_t sizes[] = {1, 2, 63, 64, 65, 128, 256, 257};
+    const double densities[] = {0.0, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0};
+    Rng gen(2024);
+    for (const auto &model : models) {
+        const auto der = derOf(model);
+        for (const std::size_t n : sizes) {
+            for (const double density : densities) {
+                for (int trial = 0; trial < 8; ++trial) {
+                    std::vector<State> cells(n);
+                    pcm::CellMask updated;
+                    updated.reset(static_cast<unsigned>(n));
+                    for (std::size_t i = 0; i < n; ++i) {
+                        cells[i] = pcm::stateFromIndex(
+                            static_cast<unsigned>(gen.nextBelow(4)));
+                        if (gen.chance(density))
+                            updated.set(static_cast<unsigned>(i));
+                    }
+                    const uint64_t seed = gen.next();
+                    SCOPED_TRACE(testing::Message()
+                                 << "n=" << n << " density=" << density
+                                 << " trial=" << trial);
+
+                    Rng want_rng(seed), got_rng(seed);
+                    pcm::CellMask want_mask, got_mask;
+                    const unsigned want =
+                        referenceSample(der, cells.data(), n, updated,
+                                        want_rng, &want_mask);
+                    const unsigned got =
+                        model.sample(cells.data(), n, updated, got_rng,
+                                     &got_mask);
+                    EXPECT_EQ(got, want);
+                    for (unsigned w = 0; w < want_mask.words(); ++w)
+                        EXPECT_EQ(got_mask.word(w), want_mask.word(w));
+                    EXPECT_EQ(got_rng.next(), want_rng.next());
+
+                    Rng bare_rng(seed), bare_ref(seed);
+                    EXPECT_EQ(model.sample(cells.data(), n, updated,
+                                           bare_rng),
+                              referenceSample(der, cells.data(), n,
+                                              updated, bare_ref,
+                                              nullptr));
+                    EXPECT_EQ(bare_rng.next(), bare_ref.next());
+                }
+            }
+        }
+    }
+}
+
+TEST(WriteUnit, VnrMatchesReferenceSampler)
+{
+    const WriteUnit unit{EnergyModel(), DisturbanceModel()};
+    const auto der = derOf(unit.disturbanceModel());
+    Rng gen(99);
+    for (int trial = 0; trial < 50; ++trial) {
+        const unsigned n = 257;
+        std::vector<State> stored(n);
+        TargetLine target(n);
+        for (unsigned i = 0; i < n; ++i) {
+            stored[i] = pcm::stateFromIndex(
+                static_cast<unsigned>(gen.nextBelow(4)));
+            target[i] = gen.chance(0.4)
+                            ? pcm::stateFromIndex(static_cast<unsigned>(
+                                  gen.nextBelow(4)))
+                            : stored[i];
+        }
+        target.setAuxStart(n - 17);
+        const uint64_t seed = gen.next();
+
+        Rng rng(seed);
+        pcm::CellMask updated;
+        const auto st = unit.program(stored, target, rng, true, &updated);
+
+        // Replay the same write with the reference sampler: first pass
+        // on the differential write's mask, then repair passes.
+        Rng ref(seed);
+        pcm::CellMask disturbed;
+        unsigned errors = referenceSample(der, stored.data(), n, updated,
+                                          ref, &disturbed);
+        unsigned data = 0, aux = 0;
+        for (unsigned i = 0; i < n; ++i)
+            if (disturbed.test(i))
+                ++(target.aux(i) ? aux : data);
+        unsigned iterations = errors ? 1 : 0;
+        while (errors) {
+            ++iterations;
+            const pcm::CellMask repairing = disturbed;
+            errors = referenceSample(der, stored.data(), n, repairing,
+                                     ref, &disturbed);
+        }
+        EXPECT_EQ(st.dataDisturbed, data);
+        EXPECT_EQ(st.auxDisturbed, aux);
+        EXPECT_EQ(st.vnrIterations, iterations);
+        EXPECT_EQ(rng.next(), ref.next());
+    }
 }
 
 TEST(WriteUnit, ProgramsOnlyDifferingCells)

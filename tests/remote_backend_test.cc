@@ -129,13 +129,7 @@ int
 rawConnect(uint16_t port)
 {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof addr),
-              0);
+    EXPECT_TRUE(test::connectLoopback(fd, port));
     timeval tv{};
     tv.tv_sec = 20;
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
@@ -647,15 +641,24 @@ TEST(RemoteFaults, TruncatedFrameIsCounted)
 TEST(RemoteFaults, AcceptSurvivesFdExhaustion)
 {
     auto head = bareHead();
-    int fd = -1;
+    // Serve one connection first, so the accept loop and a handler
+    // have run before the process is starved: under UBSan a thread's
+    // first virtual call probes memory through a pipe, which fails
+    // (a false "invalid vptr") with no descriptor free. It stays
+    // open, so no server-side close can free a descriptor.
+    const int warm = rawConnect(head->port());
+    sendHello(warm);
+    expectServed(warm);
+
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
     {
-        test::OneFreeFd limit;
-        ASSERT_GE(limit.spare, 0);
-        // The client takes the one free descriptor, so the head's
-        // accept() of this very connection fails with EMFILE and
-        // leaves it queued.
-        fd = rawConnect(head->port());
-        ASSERT_EQ(fd, limit.spare);
+        // No descriptor is free once the socket exists, so the
+        // head's accept() of this very connection fails with EMFILE
+        // and leaves it queued.
+        test::NoFreeFd limit(fd);
+        ASSERT_TRUE(limit.exhausted);
+        ASSERT_TRUE(test::connectLoopback(fd, head->port()));
         EXPECT_TRUE(waitForCounter(*head, "accept-failed"));
     }
     // Descriptors are back: the next retry must serve the queued
@@ -667,6 +670,7 @@ TEST(RemoteFaults, AcceptSurvivesFdExhaustion)
     expectServed(fd);
     EXPECT_GE(head->errorCounts()["accept-failed"], 1u);
     ::close(fd);
+    ::close(warm);
 }
 
 TEST(RemoteFaults, MalformedResultRequeuesThePoint)

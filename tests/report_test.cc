@@ -201,4 +201,25 @@ TEST(JsonReporter, WlcrcSimJsonOutputParses)
     }
 }
 
+TEST(SimCli, RejectsRepeatedSingleValuedFlagsWithUsageError)
+{
+    const std::string sim = WLCRC_SIM_BIN;
+    for (const char *bad :
+         {"--workload gcc --workload lesl --lines 200 --scheme Baseline",
+          "--workload lesl --lines 200 --lines 300",
+          "--workload lesl --lines 20 --seed 1 --seed 2",
+          "--workload lesl --lines 20 --backend serial --backend thread",
+          "--workload lesl --lines", "--workload lesl --scheme"}) {
+        EXPECT_EQ(test::exitCodeOf(sim + " " + bad + " 2>/dev/null"), 2)
+            << bad;
+    }
+    // The sweep flags stay repeatable.
+    EXPECT_EQ(test::exitCodeOf(sim +
+                               " --workload lesl --lines 20"
+                               " --scheme Baseline --scheme WLCRC-16"
+                               " --leveler none --leveler start-gap"
+                               " >/dev/null 2>&1"),
+              0);
+}
+
 } // namespace

@@ -628,15 +628,38 @@ TEST(Server, AcceptFailuresShowInStatsErrors)
     serve::Server server(cfg);
     server.start();
 
+    // Start a session and wait until its write is encoded, so the
+    // accept loop, a connection handler and the bank worker have all
+    // run before the process is starved: under UBSan a thread's
+    // first virtual call probes memory through a pipe, which fails
+    // (a false "invalid vptr") with no descriptor free. The session
+    // stays open, so no server-side close can free a descriptor.
+    const auto txns = makeStream(1, 1);
+    serve::Client warm;
+    warm.connect("127.0.0.1", server.port());
+    warm.hello(1);
+    warm.sendWrites(txns.data(), 1, true);
+    (void)warm.readAck();
+    for (int waited = 0;
+         server.snapshotJson().find("\"encoded\":1,") ==
+             std::string::npos;
+         waited += 1) {
+        ASSERT_LT(waited, 5000);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
     serve::Client client;
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
+    client.adopt(fd);
     bool counted = false;
     {
-        test::OneFreeFd limit;
-        ASSERT_GE(limit.spare, 0);
-        // The client takes the one free descriptor: the server's
-        // accept() fails with EMFILE and leaves the connection queued.
-        client.connect("127.0.0.1", server.port());
-        ASSERT_EQ(client.fd(), limit.spare);
+        // No descriptor is free once the client socket exists: the
+        // server's accept() fails with EMFILE and leaves the
+        // connection queued.
+        test::NoFreeFd limit(fd);
+        ASSERT_TRUE(limit.exhausted);
+        ASSERT_TRUE(test::connectLoopback(fd, server.port()));
         for (int waited = 0; !counted && waited < 5000; waited += 10) {
             counted = server.snapshotJson().find("\"accept-failed\"") !=
                       std::string::npos;
@@ -651,6 +674,7 @@ TEST(Server, AcceptFailuresShowInStatsErrors)
     const auto stats = runner::parseJson(client.stats());
     EXPECT_GE(stats.at("errors").at("accept-failed").asU64(), 1u);
     (void)client.bye();
+    (void)warm.bye();
     server.requestStop();
     server.wait();
 }

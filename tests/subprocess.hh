@@ -4,8 +4,8 @@
  * or exit code, or spawn one in the background and reap (or kill)
  * it later; and starve the test process of descriptors. Used by the
  * golden-output bench harness, the wlcrc_sim --json round trip, the
- * tools' usage-error tests, and the distributed-backend suite's
- * worker subprocesses and fd-exhaustion fault.
+ * tools' usage-error tests, the distributed-backend suite's worker
+ * subprocesses, and the fd-exhaustion faults of both servers.
  */
 
 #ifndef WLCRC_TESTS_SUBPROCESS_HH
@@ -13,11 +13,15 @@
 
 #include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
 
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -56,29 +60,48 @@ exitCodeOf(const std::string &cmd)
 }
 
 /**
- * Lowers RLIMIT_NOFILE so exactly one descriptor is free — the
- * lowest unused number, `spare` — and restores the limit when it
- * goes out of scope, on every path out of a test.
+ * Lowers RLIMIT_NOFILE to `fd + 1` for a just-created descriptor
+ * @p fd, so no descriptor is free at all: @p fd was the lowest free
+ * number, so every one below it is taken. Restores the limit when it
+ * goes out of scope, on every path out of a test. Create the client
+ * socket first, then starve, then connect: connect() needs no new
+ * descriptor, so the server's accept() of that connection fails with
+ * EMFILE, and no other thread can take a spare descriptor first.
  */
-struct OneFreeFd
+struct NoFreeFd
 {
     rlimit saved{};
-    int spare = -1; //!< the free descriptor; -1 if setup failed
+    bool exhausted = false; //!< opening a descriptor now fails (EMFILE)
 
-    OneFreeFd()
+    explicit NoFreeFd(int fd)
     {
         ::getrlimit(RLIMIT_NOFILE, &saved);
-        const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
         if (fd < 0)
             return;
-        ::close(fd);
         rlimit low = saved;
         low.rlim_cur = static_cast<rlim_t>(fd) + 1;
-        if (::setrlimit(RLIMIT_NOFILE, &low) == 0)
-            spare = fd;
+        if (::setrlimit(RLIMIT_NOFILE, &low) != 0)
+            return;
+        const int probe = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+        if (probe >= 0)
+            ::close(probe);
+        else
+            exhausted = errno == EMFILE;
     }
-    ~OneFreeFd() { ::setrlimit(RLIMIT_NOFILE, &saved); }
+    ~NoFreeFd() { ::setrlimit(RLIMIT_NOFILE, &saved); }
 };
+
+/** Connect the TCP socket @p fd to 127.0.0.1:@p port. */
+inline bool
+connectLoopback(int fd, uint16_t port)
+{
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    return ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof addr) == 0;
+}
 
 /**
  * Start @p cmd via `/bin/sh -c` without waiting, returning the

@@ -85,6 +85,9 @@
  *   --progress             stderr progress/ETA line while running
  *   --help                 print usage and exit 0
  *
+ * A missing value or a repeated value flag other than --scheme and
+ * --leveler is a usage error (exit 2).
+ *
  * Output: one row/object per scheme with the paper's three metrics.
  * With a cache, a summary line "wlcrc_sim: cache <dir>: N points:
  * H hits, R replayed, S stored" goes to stderr.
@@ -96,6 +99,8 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -177,62 +182,66 @@ usage(const char *argv0)
         argv0);
 }
 
+/**
+ * @return the options, or nullopt after printing why they are bad.
+ * @throws std::invalid_argument on a missing value or a repeated
+ *         single-valued flag.
+ */
 std::optional<Options>
 parse(int argc, char **argv)
 {
     Options o;
+    std::set<std::string> seen;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
+        // --scheme and --leveler sweep and may repeat; every other
+        // value flag may appear once: a repeat is a usage error,
+        // never a silent override.
+        auto value = [&]() -> const char * {
+            if (i + 1 >= argc)
+                throw std::invalid_argument(a + " needs a value");
+            return argv[++i];
+        };
         auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
+            if (!seen.insert(a).second)
+                throw std::invalid_argument(a + " given twice");
+            return value();
         };
         if (a == "--scheme") {
-            if (const char *v = next())
-                o.schemes.push_back(v);
+            o.schemes.push_back(value());
         } else if (a == "--workload") {
-            if (const char *v = next())
-                o.workload = v;
+            o.workload = next();
         } else if (a == "--trace-in") {
-            if (const char *v = next())
-                o.traceIn = v;
+            o.traceIn = next();
         } else if (a == "--trace-out") {
-            if (const char *v = next())
-                o.traceOut = v;
+            o.traceOut = next();
         } else if (a == "--trace-format") {
-            if (const char *v = next())
-                o.traceFormat = v;
+            o.traceFormat = next();
         } else if (a == "--trace-codec") {
-            if (const char *v = next())
-                o.traceCodec = v;
+            o.traceCodec = next();
         } else if (a == "--partition") {
-            if (const char *v = next())
-                o.partition = v;
+            o.partition = next();
         } else if (a == "--decode-ahead") {
-            if (const char *v = next())
-                o.decodeAhead = v;
+            o.decodeAhead = next();
         } else if (a == "--backend") {
-            if (const char *v = next())
-                o.backend = v;
+            o.backend = next();
         } else if (a == "--cache-dir") {
-            if (const char *v = next())
-                o.cacheDir = v;
+            o.cacheDir = next();
         } else if (a == "--cache-remote") {
-            if (const char *v = next())
-                o.cacheRemote = v;
+            o.cacheRemote = next();
         } else if (a == "--listen") {
             // Validated strictly: a silently truncated port (or a
             // non-numeric straggler deadline below) would steer
             // the whole cluster somewhere unintended.
             const char *v = next();
             char *end = nullptr;
-            const unsigned long port =
-                v ? std::strtoul(v, &end, 10) : 0;
-            if (!v || end == v || *end != '\0' || port == 0 ||
+            const unsigned long port = std::strtoul(v, &end, 10);
+            if (end == v || *end != '\0' || port == 0 ||
                 port > 65535) {
                 std::fprintf(stderr,
                              "--listen needs a port in 1..65535, "
                              "got \"%s\"\n",
-                             v ? v : "");
+                             v);
                 return std::nullopt;
             }
             o.listenPort = static_cast<unsigned>(port);
@@ -240,14 +249,12 @@ parse(int argc, char **argv)
         } else if (a == "--workers") {
             const char *v = next();
             char *end = nullptr;
-            const unsigned long n =
-                v ? std::strtoul(v, &end, 10) : 0;
-            if (!v || end == v || *end != '\0' || n == 0 ||
-                n > 4096) {
+            const unsigned long n = std::strtoul(v, &end, 10);
+            if (end == v || *end != '\0' || n == 0 || n > 4096) {
                 std::fprintf(stderr,
                              "--workers needs a count in 1..4096, "
                              "got \"%s\"\n",
-                             v ? v : "");
+                             v);
                 return std::nullopt;
             }
             o.workers = static_cast<unsigned>(n);
@@ -255,12 +262,12 @@ parse(int argc, char **argv)
         } else if (a == "--reissue-sec") {
             const char *v = next();
             char *end = nullptr;
-            const double sec = v ? std::strtod(v, &end) : 0.0;
-            if (!v || end == v || *end != '\0' || !(sec > 0.0)) {
+            const double sec = std::strtod(v, &end);
+            if (end == v || *end != '\0' || !(sec > 0.0)) {
                 std::fprintf(stderr,
                              "--reissue-sec needs a positive "
                              "number of seconds, got \"%s\"\n",
-                             v ? v : "");
+                             v);
                 return std::nullopt;
             }
             o.reissueSec = sec;
@@ -278,40 +285,29 @@ parse(int argc, char **argv)
         } else if (a == "--progress") {
             o.progress = true;
         } else if (a == "--lines") {
-            if (const char *v = next())
-                o.lines = std::strtoull(v, nullptr, 0);
+            o.lines = std::strtoull(next(), nullptr, 0);
         } else if (a == "--seed") {
-            if (const char *v = next())
-                o.seed = std::strtoull(v, nullptr, 0);
+            o.seed = std::strtoull(next(), nullptr, 0);
         } else if (a == "--jobs") {
-            if (const char *v = next())
-                o.jobs = std::strtoul(v, nullptr, 0);
+            o.jobs = std::strtoul(next(), nullptr, 0);
         } else if (a == "--shards") {
-            if (const char *v = next())
-                o.shards = std::strtoul(v, nullptr, 0);
+            o.shards = std::strtoul(next(), nullptr, 0);
         } else if (a == "--wear") {
-            if (const char *v = next())
-                o.wearEndurance = std::strtoull(v, nullptr, 0);
+            o.wearEndurance = std::strtoull(next(), nullptr, 0);
         } else if (a == "--wear-csv") {
-            if (const char *v = next())
-                o.wearCsv = v;
+            o.wearCsv = next();
         } else if (a == "--leveler") {
-            if (const char *v = next())
-                o.levelers.push_back(v);
+            o.levelers.push_back(value());
         } else if (a == "--endurance") {
-            if (const char *v = next())
-                o.endurance = v;
+            o.endurance = next();
         } else if (a == "--lifetime") {
             o.lifetime = true;
         } else if (a == "--simd") {
-            if (const char *v = next())
-                o.simd = v;
+            o.simd = next();
         } else if (a == "--s3") {
-            if (const char *v = next())
-                o.s3 = std::strtod(v, nullptr);
+            o.s3 = std::strtod(next(), nullptr);
         } else if (a == "--s4") {
-            if (const char *v = next())
-                o.s4 = std::strtod(v, nullptr);
+            o.s4 = std::strtod(next(), nullptr);
         } else {
             usage(argv[0]);
             return std::nullopt;
@@ -442,7 +438,13 @@ workerBinary(const std::string &argv0)
 int
 main(int argc, char **argv)
 {
-    const auto opts = parse(argc, argv);
+    std::optional<Options> opts;
+    try {
+        opts = parse(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "wlcrc_sim: %s\n", e.what());
+        return 2;
+    }
     if (!opts)
         return 2;
     if (opts->help) {
