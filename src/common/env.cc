@@ -1,71 +1,24 @@
 #include "env.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdlib>
-#include <stdexcept>
+
+#include "common/parse.hh"
 
 namespace wlcrc
 {
-
-namespace
-{
-
-[[noreturn]] void
-reject(const char *parser, const std::string &name, const char *value,
-       const char *expected)
-{
-    throw std::invalid_argument(std::string(parser) + ": " + name +
-                                "='" + value + "' is not a valid " +
-                                expected);
-}
-
-/** First non-whitespace character (what strtoull/strtod will see). */
-const char *
-firstToken(const char *v)
-{
-    while (std::isspace(static_cast<unsigned char>(*v)))
-        ++v;
-    return v;
-}
-
-} // namespace
 
 uint64_t
 envU64(const std::string &name, uint64_t fallback)
 {
     const char *v = std::getenv(name.c_str());
-    if (!v || !*v)
-        return fallback;
-    // strtoull silently wraps negative input to a huge value.
-    if (*firstToken(v) == '-')
-        reject("envU64", name, v, "unsigned integer");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 0);
-    if (end == v || *end != '\0' || errno == ERANGE)
-        reject("envU64", name, v, "unsigned integer");
-    return parsed;
+    return v && *v ? parseU64(v, name) : fallback;
 }
 
 double
 envDouble(const std::string &name, double fallback)
 {
     const char *v = std::getenv(name.c_str());
-    if (!v || !*v)
-        return fallback;
-    errno = 0;
-    char *end = nullptr;
-    const double parsed = std::strtod(v, &end);
-    // ERANGE alone is not malformed: glibc also sets it on
-    // underflow while returning a perfectly usable subnormal.
-    // Only reject overflow (result pinned to +-HUGE_VAL).
-    const bool overflow = errno == ERANGE &&
-                          (parsed == HUGE_VAL || parsed == -HUGE_VAL);
-    if (end == v || *end != '\0' || overflow)
-        reject("envDouble", name, v, "number");
-    return parsed;
+    return v && *v ? parseReal(v, name) : fallback;
 }
 
 std::string

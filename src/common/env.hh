@@ -17,7 +17,8 @@ namespace wlcrc
 {
 
 /**
- * @return $name parsed as u64, or @p fallback if unset/empty.
+ * @return $name parsed as u64 (common/parse.hh grammar), or
+ *         @p fallback if unset/empty.
  * @throws std::invalid_argument for malformed values (trailing
  *         garbage, negative numbers, overflow): a typo'd knob must
  *         fail the run loudly, not silently fall back to a default.
@@ -25,7 +26,8 @@ namespace wlcrc
 uint64_t envU64(const std::string &name, uint64_t fallback);
 
 /**
- * @return $name parsed as double, or @p fallback if unset/empty.
+ * @return $name parsed as a finite double, or @p fallback if
+ *         unset/empty.
  * @throws std::invalid_argument for malformed values, as envU64().
  */
 double envDouble(const std::string &name, double fallback);

@@ -17,6 +17,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/parse.hh"
 #include "net/conn_server.hh"
 #include "net/frame.hh"
 #include "runner/json_mini.hh"
@@ -96,18 +97,10 @@ parseHostPort(const std::string &text)
         host = text.substr(0, colon);
         portText = text.substr(colon + 1);
     }
-    unsigned long port = 0;
-    std::size_t used = 0;
-    try {
-        port = std::stoul(portText, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (host.empty() || used != portText.size() || port == 0 ||
-        port > 65535)
-        throw std::invalid_argument("bad host:port \"" + text +
-                                    "\"");
-    return {host, static_cast<uint16_t>(port)};
+    if (host.empty())
+        throw std::invalid_argument("bad host:port \"" + text + "\"");
+    return {host, parseUint<uint16_t>(portText,
+                                      "port of \"" + text + "\"", 1)};
 }
 
 // ---------------------------------------------------------------

@@ -1,12 +1,12 @@
 #include "spec_codec.hh"
 
 #include <charconv>
-#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "common/parse.hh"
 #include "runner/report.hh"
 #include "tracefile/source.hh"
 
@@ -38,30 +38,6 @@ fnv1a(const std::string &text, uint64_t hash = 14695981039346656037ULL)
         hash *= 1099511628211ULL;
     }
     return hash;
-}
-
-uint64_t
-parseU64(const std::string &v, const std::string &key)
-{
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-    if (errno != 0 || end != v.c_str() + v.size() || v.empty())
-        throw std::runtime_error("spec: bad integer for " + key +
-                                 ": '" + v + "'");
-    return x;
-}
-
-double
-parseDouble(const std::string &v, const std::string &key)
-{
-    errno = 0;
-    char *end = nullptr;
-    const double x = std::strtod(v.c_str(), &end);
-    if (errno != 0 || end != v.c_str() + v.size() || v.empty())
-        throw std::runtime_error("spec: bad number for " + key +
-                                 ": '" + v + "'");
-    return x;
 }
 
 } // namespace
@@ -136,8 +112,12 @@ canonicalSpec(const ExperimentSpec &spec)
     return os.str();
 }
 
+namespace
+{
+
+/** parseSpec() minus the translation of std::invalid_argument. */
 ExperimentSpec
-parseSpec(const std::string &text)
+parseSpecText(const std::string &text)
 {
     std::istringstream in(text);
     std::string line;
@@ -184,14 +164,13 @@ parseSpec(const std::string &text)
         } else if (key == "seed") {
             spec.seed = parseU64(value, key);
         } else if (key == "shards") {
-            spec.shards =
-                static_cast<unsigned>(parseU64(value, key));
+            spec.shards = parseUint<unsigned>(value, key);
         } else if (key == "partition") {
             spec.partition = tracefile::parsePartitionName(value);
         } else if (key == "s3") {
-            spec.device.s3 = parseDouble(value, key);
+            spec.device.s3 = parseReal(value, key);
         } else if (key == "s4") {
-            spec.device.s4 = parseDouble(value, key);
+            spec.device.s4 = parseReal(value, key);
         } else if (key == "vnr") {
             spec.device.vnr = parseU64(value, key) != 0;
         } else if (key == "wear") {
@@ -235,6 +214,21 @@ parseSpec(const std::string &text)
         spec.source = std::move(src);
     }
     return spec;
+}
+
+} // namespace
+
+ExperimentSpec
+parseSpec(const std::string &text)
+{
+    // The number grammar and the leveler and endurance parsers throw
+    // std::invalid_argument; parseSpec()'s contract is
+    // std::runtime_error.
+    try {
+        return parseSpecText(text);
+    } catch (const std::invalid_argument &e) {
+        throw std::runtime_error(std::string("spec: ") + e.what());
+    }
 }
 
 bool

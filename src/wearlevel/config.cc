@@ -1,10 +1,11 @@
 #include "config.hh"
 
 #include <charconv>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
+
+#include "common/parse.hh"
 
 namespace wlcrc::wearlevel
 {
@@ -21,30 +22,6 @@ splitColons(const std::string &text)
     while (std::getline(in, part, ':'))
         parts.push_back(part);
     return parts;
-}
-
-uint64_t
-parseU64(const std::string &v, const char *what)
-{
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-    if (errno != 0 || v.empty() || end != v.c_str() + v.size())
-        throw std::invalid_argument(std::string("bad ") + what +
-                                    " '" + v + "'");
-    return x;
-}
-
-double
-parseF64(const std::string &v, const char *what)
-{
-    errno = 0;
-    char *end = nullptr;
-    const double x = std::strtod(v.c_str(), &end);
-    if (errno != 0 || v.empty() || end != v.c_str() + v.size())
-        throw std::invalid_argument(std::string("bad ") + what +
-                                    " '" + v + "'");
-    return x;
 }
 
 /** Shortest round-trip double (same convention as the spec codec). */
@@ -97,12 +74,12 @@ parseLeveler(const std::string &text)
             config.period = parseU64(num, "leveler period");
             break;
           case 'r':
-            config.regionLines = static_cast<unsigned>(
-                parseU64(num, "leveler region lines"));
+            config.regionLines =
+                parseUint<unsigned>(num, "leveler region lines");
             break;
           case 'g':
-            config.pageLines = static_cast<unsigned>(
-                parseU64(num, "leveler page lines"));
+            config.pageLines =
+                parseUint<unsigned>(num, "leveler page lines");
             break;
           default:
             throw std::invalid_argument("bad leveler token '" + tok +
@@ -137,15 +114,13 @@ parseEndurance(const std::string &text)
     EnduranceConfig config;
     config.meanWrites = parseU64(parts[0], "endurance mean");
     if (parts.size() > 1)
-        config.cov = parseF64(parts[1], "endurance cov");
+        config.cov = parseReal(parts[1], "endurance cov",
+                               RealRange::nonNegative);
     if (parts.size() > 2)
-        config.eccDeadCells = static_cast<unsigned>(
-            parseU64(parts[2], "endurance ecc dead cells"));
+        config.eccDeadCells =
+            parseUint<unsigned>(parts[2], "endurance ecc dead cells");
     if (parts.size() > 3)
         config.maxWrites = parseU64(parts[3], "endurance write cap");
-    if (config.cov < 0.0)
-        throw std::invalid_argument(
-            "endurance cov must be non-negative");
     return config;
 }
 

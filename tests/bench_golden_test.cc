@@ -47,6 +47,14 @@ struct BenchCase
     bool maskTiming;      //!< mask wall-clock columns before diffing
 };
 
+/** Names each ctest after its bench; GetParam()'s default dump would
+ *  print the name pointer's bytes, which move from build to build. */
+void
+PrintTo(const BenchCase &bench, std::ostream *os)
+{
+    *os << bench.name;
+}
+
 const BenchCase kBenches[] = {
     {"fig01_granularity_motivation", false},
     {"fig02_cosets_random", false},

@@ -363,6 +363,32 @@ TEST(SpecCodec, ParseRejectsGarbage)
                  std::runtime_error);
 }
 
+TEST(SpecCodec, ParseRejectsMalformedNumbers)
+{
+    // Each case swaps one key of a valid canonical text, so the bad
+    // value is the only thing wrong with it.
+    const std::string good = canonicalSpec(baseSpec());
+    ASSERT_NO_THROW(parseSpec(good));
+    const auto with = [&](const std::string &key,
+                          const std::string &value) {
+        const auto at = good.find("\n" + key + "=") + 1;
+        const auto end = good.find('\n', at);
+        return good.substr(0, at) + key + "=" + value + good.substr(end);
+    };
+    for (const auto &[key, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"lines", "-1"},
+             {"shards", "-1"},
+             {"shards", "4294967296"},
+             {"lines", " 5"},
+             {"seed", "1e6"},
+             {"s3", "nan"},
+             {"s4", "inf"}}) {
+        EXPECT_THROW(parseSpec(with(key, value)), std::runtime_error)
+            << key << "=" << value;
+    }
+}
+
 // ------------------------------------------------------ ResultCache
 
 TEST(ResultCacheTest, StoreThenLookupIsExact)

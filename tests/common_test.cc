@@ -7,13 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/csv.hh"
 #include "common/env.hh"
 #include "common/line512.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "compress/bitbuffer.hh"
 
@@ -294,6 +299,161 @@ TEST(Env, RejectsMalformedValuesLoudly)
     EXPECT_NEAR(
         wlcrc::envDouble("WLCRC_TEST_ENV_SUBNORMAL", 1.0) * 1e300,
         1e-10, 1e-12);
+}
+
+TEST(Parse, UnsignedIntegerGrammar)
+{
+    using wlcrc::parseU64;
+    EXPECT_EQ(parseU64("0", "n"), 0u);
+    EXPECT_EQ(parseU64("7", "n"), 7u);
+    EXPECT_EQ(parseU64("0x20", "n"), 32u);
+    EXPECT_EQ(parseU64("0X20", "n"), 32u);
+    EXPECT_EQ(parseU64("0100", "n"), 100u); // decimal, not octal
+    EXPECT_EQ(parseU64("18446744073709551615", "n"), UINT64_MAX);
+    for (const char *bad :
+         {"", "-1", "+1", " 5", "5 ", "12x", "1e6", "0x", "0x-1",
+          "18446744073709551616"})
+        EXPECT_THROW(parseU64(bad, "n"), std::invalid_argument)
+            << "value: '" << bad << "'";
+}
+
+TEST(Parse, RangesAndDestinationWidths)
+{
+    using wlcrc::parseUint;
+    EXPECT_EQ(parseUint<uint16_t>("65535", "port"), 65535u);
+    EXPECT_THROW(parseUint<uint16_t>("65536", "port"),
+                 std::invalid_argument);
+    EXPECT_THROW(parseUint<unsigned>("4294967296", "n"),
+                 std::invalid_argument);
+    EXPECT_THROW(wlcrc::parseU64("0", "n", 1), std::invalid_argument);
+    EXPECT_THROW(wlcrc::parseU64("9", "n", 1, 8), std::invalid_argument);
+    EXPECT_EQ(wlcrc::parseU64("8", "n", 1, 8), 8u);
+    // The message names what was parsed and the text it got.
+    try {
+        wlcrc::parseU64("12x", "--lines");
+        FAIL() << "no throw";
+    } catch (const std::invalid_argument &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("--lines"), std::string::npos) << what;
+        EXPECT_NE(what.find("12x"), std::string::npos) << what;
+    }
+}
+
+TEST(Parse, RealGrammar)
+{
+    using wlcrc::parseReal;
+    using wlcrc::RealRange;
+    EXPECT_DOUBLE_EQ(parseReal("-0.5", "x"), -0.5);
+    EXPECT_DOUBLE_EQ(parseReal("1.5e2", "x"), 150.0);
+    EXPECT_GT(parseReal("1e-310", "x"), 0.0); // subnormal, still valid
+    for (const char *bad :
+         {"", "nan", "inf", "-inf", "1e999999", "0.5x", " 1", "abc"})
+        EXPECT_THROW(parseReal(bad, "x"), std::invalid_argument)
+            << "value: '" << bad << "'";
+    EXPECT_DOUBLE_EQ(parseReal("0", "x", RealRange::nonNegative), 0.0);
+    EXPECT_THROW(parseReal("-1", "x", RealRange::nonNegative),
+                 std::invalid_argument);
+    EXPECT_THROW(parseReal("0", "x", RealRange::positive),
+                 std::invalid_argument);
+    EXPECT_DOUBLE_EQ(parseReal("0.25", "x", RealRange::positive), 0.25);
+}
+
+/** Walk @p args (after a program name) through @p cl. */
+std::optional<int>
+walk(wlcrc::CommandLine &cl, std::vector<std::string> args,
+     const std::function<void()> &check = {})
+{
+    std::vector<char *> argv{const_cast<char *>("tool")};
+    for (auto &a : args)
+        argv.push_back(a.data());
+    return cl.parse(static_cast<int>(argv.size()), argv.data(), check);
+}
+
+TEST(Parse, ThreadCountsAreRangeCheckedBeforeAnythingStarts)
+{
+    // The tools' bounds for counts that become threads, processes or
+    // sockets; out-of-range values never reach the caller's field.
+    for (const std::vector<std::string> &args :
+         std::vector<std::vector<std::string>>{
+             {"--jobs", "4097"},
+             {"--loops", "-1"},
+             {"--loops", "0"},
+             {"--banks", "4294967296"}}) {
+        unsigned jobs = 7, loops = 7, banks = 7;
+        wlcrc::CommandLine cl("tool", "usage: tool\n");
+        cl.uint("--jobs", jobs, 0, 4096)
+            .uint("--loops", loops, 1, 4096)
+            .uint("--banks", banks, 1, 4096);
+        EXPECT_EQ(walk(cl, args), 2) << args[0] << " " << args[1];
+        EXPECT_EQ(jobs + loops + banks, 21u);
+    }
+}
+
+TEST(Parse, CommandLineWalk)
+{
+    std::string name;
+    std::vector<std::string> tags, files;
+    bool on = false;
+    uint64_t n = 0;
+    const auto fresh = [&] {
+        name.clear();
+        tags.clear();
+        files.clear();
+        on = false;
+        n = 0;
+        wlcrc::CommandLine cl("tool", "usage: tool\n");
+        cl.text("--name", name)
+            .list("--tag", tags)
+            .flag("--on", on)
+            .uint("--n", n)
+            .positionals(files);
+        return cl;
+    };
+    {
+        auto cl = fresh();
+        EXPECT_EQ(walk(cl, {"a", "--tag", "x", "--name", "v", "--on",
+                            "--tag", "y", "b", "--n", "0x10"}),
+                  std::nullopt);
+        EXPECT_EQ(name, "v");
+        EXPECT_EQ(tags, (std::vector<std::string>{"x", "y"}));
+        EXPECT_EQ(files, (std::vector<std::string>{"a", "b"}));
+        EXPECT_TRUE(on);
+        EXPECT_EQ(n, 16u);
+        EXPECT_TRUE(cl.given("--name"));
+        EXPECT_FALSE(cl.given("--help"));
+    }
+    for (const std::vector<std::string> &bad :
+         std::vector<std::vector<std::string>>{
+             {"--name", "a", "--name", "b"}, // repeat
+             {"--name"},                     // missing value
+             {"--bogus"},                    // unknown flag
+             {"--n", "abc"}}) {              // malformed number
+        auto cl = fresh();
+        EXPECT_EQ(walk(cl, bad), 2) << bad[0];
+    }
+    {
+        // --help stops the walk: neither a later error nor the
+        // check runs.
+        auto cl = fresh();
+        bool checked = false;
+        EXPECT_EQ(walk(cl, {"--on", "--help", "--bogus"},
+                       [&] { checked = true; }),
+                  0);
+        EXPECT_FALSE(checked);
+    }
+    {
+        auto cl = fresh();
+        EXPECT_EQ(walk(cl, {"--on"},
+                       [] { throw std::invalid_argument("bad combo"); }),
+                  2);
+    }
+    {
+        // Without declared positionals a bare word is an error.
+        bool sw = false;
+        wlcrc::CommandLine cl("tool", "usage: tool\n");
+        cl.flag("--on", sw);
+        EXPECT_EQ(walk(cl, {"stray"}), 2);
+    }
 }
 
 } // namespace

@@ -40,6 +40,7 @@
 #include "coset/codec.hh"
 #include "pcm/disturbance.hh"
 #include "pcm/energy_model.hh"
+#include "subprocess.hh"
 #include "trace/replay.hh"
 #include "trace/workload.hh"
 #include "wlcrc/factory.hh"
@@ -330,5 +331,17 @@ TEST(EncodeFuzz, BatchMatchesSteppedPerKernel)
         }
     }
 }
+
+#ifdef WLCRC_FUZZ_BIN
+TEST(FuzzCli, RejectsRepeatedAndMalformedFlagsWithUsageError)
+{
+    for (const char *bad :
+         {"--iters 1 --iters 2", "--iters abc", "--seed", "--bogus"})
+        EXPECT_EQ(test::exitCodeOf(std::string(WLCRC_FUZZ_BIN) + " " +
+                                   bad + " >/dev/null 2>&1"),
+                  2)
+            << bad;
+}
+#endif
 
 } // namespace

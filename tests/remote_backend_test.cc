@@ -435,6 +435,35 @@ TEST(RemoteBackend, HeadCliRunIsByteIdenticalToThreadCli)
     EXPECT_FALSE(remoteOut.empty());
 }
 
+TEST(RemoteBackend, CliListenZeroPicksAnEphemeralPort)
+{
+    // --listen 0 is the documented way to let the kernel pick the
+    // head's port; the banner names the port it got.
+    const std::string errFile =
+        ::testing::TempDir() + "wlcrc_listen0.err";
+    const std::string base =
+        std::string(WLCRC_SIM_BIN) +
+        " --workload lesl --lines 50 --scheme Baseline";
+    int rcThread = 0, rcRemote = 0;
+    const std::string threadOut = test::captureStdout(
+        base + " --backend thread 2>/dev/null", rcThread);
+    const std::string remoteOut = test::captureStdout(
+        "WLCRC_WORKER_BIN=" + std::string(WLCRC_WORKER_BIN) + " " +
+            base + " --backend remote --listen 0 --workers 1 2>" +
+            errFile,
+        rcRemote);
+    std::stringstream err;
+    err << std::ifstream(errFile).rdbuf();
+    const std::string banner = "head listening on 127.0.0.1:";
+    const auto at = err.str().find(banner);
+    ASSERT_NE(at, std::string::npos) << err.str();
+    EXPECT_GT(std::stoul(err.str().substr(at + banner.size())), 0u);
+    EXPECT_EQ(rcThread, 0);
+    EXPECT_EQ(rcRemote, 0) << err.str();
+    EXPECT_EQ(remoteOut, threadOut);
+    EXPECT_FALSE(remoteOut.empty());
+}
+
 TEST(RemoteBackend, SimdChoiceReachesSpawnedWorkers)
 {
     // wlcrc_sim --simd exports the kernel; a spawned worker must

@@ -222,4 +222,26 @@ TEST(SimCli, RejectsRepeatedSingleValuedFlagsWithUsageError)
               0);
 }
 
+TEST(SimCli, RejectsMalformedNumbersWithUsageError)
+{
+    // Each of these used to run with a truncated or zero value.
+    const std::string sim = WLCRC_SIM_BIN;
+    for (const char *bad :
+         {"--lines abc", "--lines 20 --shards 4x", "--lines 20 --s3 abc",
+          "--lines 20 --wear 1e6", "--lines 20 --seed -1",
+          "--lines 20 --decode-ahead x"}) {
+        EXPECT_EQ(test::exitCodeOf(sim + " --workload lesl " + bad +
+                                   " >/dev/null 2>&1"),
+                  2)
+            << bad;
+    }
+    // A leading zero is decimal, not octal.
+    int rc1 = -1, rc2 = -1;
+    const std::string base = sim + " --workload lesl --scheme Baseline";
+    EXPECT_EQ(test::captureStdout(base + " --lines 0100 2>/dev/null", rc1),
+              test::captureStdout(base + " --lines 100 2>/dev/null", rc2));
+    EXPECT_EQ(rc1, 0);
+    EXPECT_EQ(rc2, 0);
+}
+
 } // namespace

@@ -754,6 +754,24 @@ TEST(ServeCli, RejectsBadPortsAndRepeatedFlagsWithUsageError)
     EXPECT_EQ(serveExit("--help"), 0);
 }
 
+TEST(LoadCli, RejectsMissingValuesAndBadCountsWithUsageError)
+{
+    // Port 1 has no server: a case that wrongly parses fails to
+    // connect instead of streaming anywhere.
+    for (const char *bad :
+         {"--port 1 --workload gcc --connections",
+          "--port 1 --workload gcc --frame-records 10000",
+          "--port 1 --workload gcc --lines 10 --lines 20",
+          "--port 1 --workload gcc --rate abc"})
+        EXPECT_EQ(test::exitCodeOf(std::string(WLCRC_LOAD_BIN) + " " +
+                                   bad + " >/dev/null 2>&1"),
+                  2)
+            << bad;
+    EXPECT_EQ(test::exitCodeOf(std::string(WLCRC_LOAD_BIN) +
+                               " --help >/dev/null"),
+              0);
+}
+
 // -------------------------------------- capture-replay equivalence
 
 /**

@@ -1537,6 +1537,22 @@ TEST(TraceTool, ConvertInfoAndVerifyCoverV3)
     EXPECT_EQ(slurpBytes(back.path), slurpBytes(v2.path));
 }
 
+TEST(TraceCli, RejectsRepeatedFlagsAndMalformedCountsWithUsageError)
+{
+    const std::string out = ::testing::TempDir() + "wlcrc_tracecli.trc";
+    for (const std::string &bad : std::vector<std::string>{
+             "generate --workload gcc --lines 100 --lines 50 --out " +
+                 out,
+          "generate --workload gcc --lines 1e2 --out " + out,
+          "generate --mix gcc:x --lines 10 --out " + out,
+          "info " + out + " --lines 5", "verify"}) {
+        EXPECT_EQ(test::exitCodeOf(std::string(WLCRC_TRACE_BIN) + " " +
+                                   bad + " >/dev/null 2>&1"),
+                  2)
+            << bad;
+    }
+}
+
 #endif // WLCRC_TRACE_BIN
 
 } // namespace

@@ -71,6 +71,21 @@ TEST(LevelerConfig, ParseRejectsGarbage)
                  std::invalid_argument);
 }
 
+TEST(LevelerConfig, ParseRejectsMalformedNumbers)
+{
+    for (const char *bad :
+         {"start-gap:p-1", "start-gap:p+5", "start-gap:p 5",
+          "start-gap:r4294967296", "page-remap:g1e3"})
+        EXPECT_THROW(wearlevel::parseLeveler(bad), std::invalid_argument)
+            << bad;
+    for (const char *bad :
+         {"-300:0.2", "300:nan", "300:-0.5", "300:0.2:4294967296",
+          "300:0.2:1:-1", "1e6"})
+        EXPECT_THROW(wearlevel::parseEndurance(bad),
+                     std::invalid_argument)
+            << bad;
+}
+
 TEST(EnduranceConfigTest, FormatParseRoundTrips)
 {
     const EnduranceConfig full =

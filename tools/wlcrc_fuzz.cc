@@ -40,7 +40,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -51,6 +50,7 @@
 #include <unistd.h>
 
 #include "common/lz.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "coset/codec.hh"
@@ -71,21 +71,16 @@ using namespace wlcrc;
 using pcm::State;
 using simd::Kernel;
 
-void
-usage(std::FILE *to)
-{
-    std::fprintf(
-        to,
-        "usage: wlcrc_fuzz [--iters N] [--seed N] [--scheme NAME]\n"
-        "                  [--simd auto|scalar|avx2|neon] [--help]\n"
-        "\n"
-        "Differential fuzzer: encodes random lines under every\n"
-        "available SIMD kernel and the scalar-scoring test hook,\n"
-        "failing loudly on any bit difference from the scalar\n"
-        "reference. Seeded LZ round-trip/mutation and hostile WRK1\n"
-        "client stages run first. Exits 0 on a clean run, 1 on a\n"
-        "mismatch.\n");
-}
+const char *const kUsage =
+    "usage: wlcrc_fuzz [--iters N] [--seed N] [--scheme NAME]\n"
+    "                  [--simd auto|scalar|avx2|neon] [--help]\n"
+    "\n"
+    "Differential fuzzer: encodes random lines under every\n"
+    "available SIMD kernel and the scalar-scoring test hook,\n"
+    "failing loudly on any bit difference from the scalar\n"
+    "reference. Seeded LZ round-trip/mutation and hostile WRK1\n"
+    "client stages run first. Exits 0 on a clean run, 1 on a\n"
+    "mismatch.\n";
 
 std::vector<Kernel>
 kernelsUnderTest()
@@ -512,34 +507,14 @@ main(int argc, char **argv)
     std::string only_scheme;
     std::string simd_choice;
 
-    for (int a = 1; a < argc; ++a) {
-        const std::string arg = argv[a];
-        const auto value = [&]() -> const char * {
-            if (a + 1 >= argc) {
-                std::fprintf(stderr, "error: %s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++a];
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(stdout);
-            return 0;
-        } else if (arg == "--iters") {
-            iters = std::strtoull(value(), nullptr, 0);
-        } else if (arg == "--seed") {
-            seed = std::strtoull(value(), nullptr, 0);
-        } else if (arg == "--scheme") {
-            only_scheme = value();
-        } else if (arg == "--simd") {
-            simd_choice = value();
-        } else {
-            std::fprintf(stderr, "error: unknown option %s\n",
-                         arg.c_str());
-            usage(stderr);
-            return 2;
-        }
-    }
+    CommandLine cl("wlcrc_fuzz", kUsage);
+    cl.helpAlias("-h")
+        .uint("--iters", iters)
+        .uint("--seed", seed)
+        .text("--scheme", only_scheme)
+        .text("--simd", simd_choice);
+    if (const auto status = cl.parse(argc, argv))
+        return *status;
 
     try {
         if (!simd_choice.empty())

@@ -46,7 +46,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -54,8 +53,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "serve/client.hh"
+#include "tracefile/format.hh"
 #include "tracefile/source.hh"
 #include "trace/workload.hh"
 
@@ -79,93 +80,15 @@ struct Options
     uint64_t ackEvery = 32;
     bool independent = false;
     bool statsOnly = false;
-    bool help = false;
 };
 
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s --port P [--host H] [--connections N] "
-        "[--lines N]\n"
-        "          (--workload W | --random | --trace-in F) "
-        "[--seed S]\n"
-        "          [--rate W] [--frame-records N] [--ack-every N]\n"
-        "          [--independent] [--stats] [--help]\n",
-        argv0);
-}
-
-std::optional<Options>
-parse(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (a == "--host") {
-            if (const char *v = next())
-                o.host = v;
-        } else if (a == "--port") {
-            if (const char *v = next())
-                o.port = static_cast<uint16_t>(
-                    std::strtoul(v, nullptr, 0));
-        } else if (a == "--connections") {
-            if (const char *v = next())
-                o.connections = std::strtoul(v, nullptr, 0);
-        } else if (a == "--lines") {
-            if (const char *v = next())
-                o.lines = std::strtoull(v, nullptr, 0);
-        } else if (a == "--workload") {
-            if (const char *v = next())
-                o.workload = v;
-        } else if (a == "--random") {
-            o.random = true;
-        } else if (a == "--trace-in") {
-            if (const char *v = next())
-                o.traceIn = v;
-        } else if (a == "--seed") {
-            if (const char *v = next())
-                o.seed = std::strtoull(v, nullptr, 0);
-        } else if (a == "--rate") {
-            if (const char *v = next())
-                o.rate = std::strtod(v, nullptr);
-        } else if (a == "--frame-records") {
-            if (const char *v = next())
-                o.frameRecords = std::strtoull(v, nullptr, 0);
-        } else if (a == "--ack-every") {
-            if (const char *v = next())
-                o.ackEvery = std::strtoull(v, nullptr, 0);
-        } else if (a == "--independent") {
-            o.independent = true;
-        } else if (a == "--stats") {
-            o.statsOnly = true;
-        } else if (a == "--help") {
-            o.help = true;
-        } else {
-            usage(argv[0]);
-            return std::nullopt;
-        }
-    }
-    if (o.help)
-        return o;
-    if (o.port == 0) {
-        std::fprintf(stderr, "--port is required\n");
-        usage(argv[0]);
-        return std::nullopt;
-    }
-    if (o.statsOnly)
-        return o;
-    const int sources =
-        !o.workload.empty() + o.random + !o.traceIn.empty();
-    if (sources != 1 || o.connections == 0 ||
-        o.frameRecords == 0) {
-        usage(argv[0]);
-        return std::nullopt;
-    }
-    return o;
-}
+const char *const kUsage =
+    "usage: wlcrc_load --port P [--host H] [--connections N] "
+    "[--lines N]\n"
+    "          (--workload W | --random | --trace-in F) "
+    "[--seed S]\n"
+    "          [--rate W] [--frame-records N] [--ack-every N]\n"
+    "          [--independent] [--stats] [--help]\n";
 
 /** Per-connection outcome. */
 struct ConnResult
@@ -348,32 +271,52 @@ percentile(std::vector<double> &v, double p)
 int
 main(int argc, char **argv)
 {
-    const auto opts = parse(argc, argv);
-    if (!opts)
-        return 2;
-    if (opts->help) {
-        usage(argv[0]);
-        return 0;
-    }
+    Options o;
+    CommandLine cl("wlcrc_load", kUsage);
+    cl.text("--host", o.host)
+        .uint("--port", o.port, 1)
+        .uint("--connections", o.connections, 1, 4096)
+        .uint("--lines", o.lines)
+        .text("--workload", o.workload)
+        .flag("--random", o.random)
+        .text("--trace-in", o.traceIn)
+        .uint("--seed", o.seed)
+        .real("--rate", o.rate, RealRange::nonNegative)
+        // A Write frame's payload must fit the protocol's cap.
+        .uint("--frame-records", o.frameRecords, 1,
+              serve::maxFramePayload / tracefile::recordBytes)
+        .uint("--ack-every", o.ackEvery)
+        .flag("--independent", o.independent)
+        .flag("--stats", o.statsOnly);
+    const auto check = [&] {
+        usageCheck(cl.given("--port"), "--port is required");
+        const int sources =
+            !o.workload.empty() + o.random + !o.traceIn.empty();
+        usageCheck(o.statsOnly || sources == 1,
+                   "pass exactly one of --workload, --random and "
+                   "--trace-in");
+    };
+    if (const auto status = cl.parse(argc, argv, check))
+        return *status;
     try {
-        if (opts->statsOnly) {
+        if (o.statsOnly) {
             serve::Client client;
-            client.connect(opts->host, opts->port);
+            client.connect(o.host, o.port);
             std::printf("%s\n", client.stats().c_str());
             return 0;
         }
 
         std::shared_ptr<tracefile::TransactionSource> source;
-        if (!opts->traceIn.empty())
-            source = tracefile::openTraceSource(opts->traceIn);
+        if (!o.traceIn.empty())
+            source = tracefile::openTraceSource(o.traceIn);
 
-        std::vector<ConnResult> results(opts->connections);
+        std::vector<ConnResult> results(o.connections);
         std::vector<std::thread> threads;
-        threads.reserve(opts->connections);
+        threads.reserve(o.connections);
         const auto start = std::chrono::steady_clock::now();
-        for (unsigned c = 0; c < opts->connections; ++c)
+        for (unsigned c = 0; c < o.connections; ++c)
             threads.emplace_back([&, c] {
-                runConnection(*opts, source.get(), c, results[c]);
+                runConnection(o, source.get(), c, results[c]);
             });
         for (auto &t : threads)
             t.join();
@@ -385,7 +328,7 @@ main(int argc, char **argv)
         uint64_t sent = 0;
         unsigned cleanConns = 0;
         std::vector<double> rtt;
-        for (unsigned c = 0; c < opts->connections; ++c) {
+        for (unsigned c = 0; c < o.connections; ++c) {
             const ConnResult &r = results[c];
             sent += r.sent;
             cleanConns += r.clean;
@@ -401,7 +344,7 @@ main(int argc, char **argv)
         std::printf(
             "wlcrc_load: %u/%u connections clean, %llu writes in "
             "%.3f s (%.0f writes/s)\n",
-            cleanConns, opts->connections,
+            cleanConns, o.connections,
             static_cast<unsigned long long>(sent), elapsed,
             elapsed > 0 ? static_cast<double>(sent) / elapsed : 0.0);
         if (!rtt.empty())
@@ -411,7 +354,7 @@ main(int argc, char **argv)
                 rttSum / static_cast<double>(rtt.size()),
                 percentile(rtt, 0.50), percentile(rtt, 0.95),
                 percentile(rtt, 1.0), rtt.size());
-        return cleanConns == opts->connections ? 0 : 1;
+        return cleanConns == o.connections ? 0 : 1;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "wlcrc_load: %s\n", e.what());
         return 1;

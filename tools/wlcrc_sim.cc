@@ -46,7 +46,7 @@
  *                          local wlcrc_workers); results identical
  *                          for all
  *   --listen <port>        (remote) listen on 127.0.0.1:<port> for
- *                          wlcrc_worker connections; 0 or absent
+ *                          wlcrc_worker connections, 0..65535; 0
  *                          picks an ephemeral port. The bound port
  *                          is printed to stderr either way
  *   --workers <N>          (remote) spawn N local wlcrc_worker
@@ -85,8 +85,10 @@
  *   --progress             stderr progress/ETA line while running
  *   --help                 print usage and exit 0
  *
- * A missing value or a repeated value flag other than --scheme and
- * --leveler is a usage error (exit 2).
+ * Flags and numbers follow common/parse.hh (docs/cli.md, "Flags and
+ * numbers"): a missing value, a repeated value flag other than
+ * --scheme and --leveler, or a malformed or out-of-range number is a
+ * usage error (exit 2).
  *
  * Output: one row/object per scheme with the paper's three metrics.
  * With a cache, a summary line "wlcrc_sim: cache <dir>: N points:
@@ -98,13 +100,12 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/env.hh"
+#include "common/parse.hh"
 #include "common/simd.hh"
 #include "runner/backend.hh"
 #include "runner/grid.hh"
@@ -133,14 +134,13 @@ struct Options
     std::string traceFormat = "v1";
     std::string traceCodec;
     std::string partition = "modulo";
-    std::string decodeAhead;
+    uint64_t decodeAhead = 0;
     std::string backend = "thread";
     std::string cacheDir; // resolved from flag/env in main()
     std::string cacheRemote;
-    unsigned listenPort = 0;
+    uint16_t listenPort = 0;
     unsigned workers = 0;
     double reissueSec = 30.0;
-    bool remoteFlags = false; //!< any --listen/--workers/--reissue-sec
     std::vector<std::string> levelers;
     std::string endurance;
     std::string wearCsv;
@@ -150,7 +150,6 @@ struct Options
     bool vnr = false;
     bool json = false;
     bool progress = false;
-    bool help = false;
     uint64_t lines = 10000;
     uint64_t seed = 1;
     uint64_t wearEndurance = 0;
@@ -160,227 +159,95 @@ struct Options
     std::string simd;
 };
 
+const char *const kUsage =
+    "usage: wlcrc_sim [--scheme S]... (--workload W | --random | "
+    "--trace-in F)\n"
+    "          [--trace-out F] [--trace-format v1|v2|v3] "
+    "[--trace-codec raw|lz|zstd]\n"
+    "          [--lines N] [--seed S] [--jobs N] [--shards N] "
+    "[--partition modulo|range] [--decode-ahead N]\n"
+    "          [--backend thread|serial|process|remote] "
+    "[--cache-dir D] [--no-cache]\n"
+    "          [--listen PORT] [--workers N] "
+    "[--reissue-sec S] [--cache-remote HOST:PORT]\n"
+    "          [--vnr] [--wear ENDURANCE] [--wear-csv F] "
+    "[--s3 pJ] [--s4 pJ] [--json] [--progress]\n"
+    "          [--simd auto|scalar|avx2|neon]\n"
+    "          [--leveler CFG]... [--endurance CFG] "
+    "[--lifetime] [--help]\n";
+
+/** Declare wlcrc_sim's flags, bound to @p o's fields. */
 void
-usage(const char *argv0)
+declare(CommandLine &cl, Options &o)
 {
-    std::printf(
-        "usage: %s [--scheme S]... (--workload W | --random | "
-        "--trace-in F)\n"
-        "          [--trace-out F] [--trace-format v1|v2|v3] "
-        "[--trace-codec raw|lz|zstd]\n"
-        "          [--lines N] [--seed S] [--jobs N] [--shards N] "
-        "[--partition modulo|range] [--decode-ahead N]\n"
-        "          [--backend thread|serial|process|remote] "
-        "[--cache-dir D] [--no-cache]\n"
-        "          [--listen PORT] [--workers N] "
-        "[--reissue-sec S] [--cache-remote HOST:PORT]\n"
-        "          [--vnr] [--wear ENDURANCE] [--wear-csv F] "
-        "[--s3 pJ] [--s4 pJ] [--json] [--progress]\n"
-        "          [--simd auto|scalar|avx2|neon]\n"
-        "          [--leveler CFG]... [--endurance CFG] "
-        "[--lifetime] [--help]\n",
-        argv0);
+    cl.list("--scheme", o.schemes)
+        .text("--workload", o.workload)
+        .text("--trace-in", o.traceIn)
+        .text("--trace-out", o.traceOut)
+        .choice("--trace-format", o.traceFormat, {"v1", "v2", "v3"})
+        .text("--trace-codec", o.traceCodec)
+        .choice("--partition", o.partition, {"modulo", "range"})
+        .uint("--decode-ahead", o.decodeAhead)
+        .choice("--backend", o.backend,
+                {"thread", "serial", "process", "remote"})
+        .text("--cache-dir", o.cacheDir)
+        .text("--cache-remote", o.cacheRemote)
+        .uint("--listen", o.listenPort)
+        .uint("--workers", o.workers, 1, 4096)
+        .real("--reissue-sec", o.reissueSec, RealRange::positive)
+        .flag("--no-cache", o.noCache)
+        .flag("--random", o.random)
+        .flag("--vnr", o.vnr)
+        .flag("--json", o.json)
+        .flag("--progress", o.progress)
+        .uint("--lines", o.lines)
+        .uint("--seed", o.seed)
+        .uint("--jobs", o.jobs, 0, 4096)
+        .uint("--shards", o.shards, 1, 4096)
+        .uint("--wear", o.wearEndurance)
+        .text("--wear-csv", o.wearCsv)
+        .list("--leveler", o.levelers)
+        .text("--endurance", o.endurance)
+        .flag("--lifetime", o.lifetime)
+        .text("--simd", o.simd)
+        .real("--s3", o.s3, RealRange::nonNegative)
+        .real("--s4", o.s4, RealRange::nonNegative);
 }
 
-/**
- * @return the options, or nullopt after printing why they are bad.
- * @throws std::invalid_argument on a missing value or a repeated
- *         single-valued flag.
- */
-std::optional<Options>
-parse(int argc, char **argv)
+/** @throws std::invalid_argument on a bad combination of flags. */
+void
+check(const CommandLine &cl, Options &o)
 {
-    Options o;
-    std::set<std::string> seen;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        // --scheme and --leveler sweep and may repeat; every other
-        // value flag may appear once: a repeat is a usage error,
-        // never a silent override.
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc)
-                throw std::invalid_argument(a + " needs a value");
-            return argv[++i];
-        };
-        auto next = [&]() -> const char * {
-            if (!seen.insert(a).second)
-                throw std::invalid_argument(a + " given twice");
-            return value();
-        };
-        if (a == "--scheme") {
-            o.schemes.push_back(value());
-        } else if (a == "--workload") {
-            o.workload = next();
-        } else if (a == "--trace-in") {
-            o.traceIn = next();
-        } else if (a == "--trace-out") {
-            o.traceOut = next();
-        } else if (a == "--trace-format") {
-            o.traceFormat = next();
-        } else if (a == "--trace-codec") {
-            o.traceCodec = next();
-        } else if (a == "--partition") {
-            o.partition = next();
-        } else if (a == "--decode-ahead") {
-            o.decodeAhead = next();
-        } else if (a == "--backend") {
-            o.backend = next();
-        } else if (a == "--cache-dir") {
-            o.cacheDir = next();
-        } else if (a == "--cache-remote") {
-            o.cacheRemote = next();
-        } else if (a == "--listen") {
-            // Validated strictly: a silently truncated port (or a
-            // non-numeric straggler deadline below) would steer
-            // the whole cluster somewhere unintended.
-            const char *v = next();
-            char *end = nullptr;
-            const unsigned long port = std::strtoul(v, &end, 10);
-            if (end == v || *end != '\0' || port == 0 ||
-                port > 65535) {
-                std::fprintf(stderr,
-                             "--listen needs a port in 1..65535, "
-                             "got \"%s\"\n",
-                             v);
-                return std::nullopt;
-            }
-            o.listenPort = static_cast<unsigned>(port);
-            o.remoteFlags = true;
-        } else if (a == "--workers") {
-            const char *v = next();
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(v, &end, 10);
-            if (end == v || *end != '\0' || n == 0 || n > 4096) {
-                std::fprintf(stderr,
-                             "--workers needs a count in 1..4096, "
-                             "got \"%s\"\n",
-                             v);
-                return std::nullopt;
-            }
-            o.workers = static_cast<unsigned>(n);
-            o.remoteFlags = true;
-        } else if (a == "--reissue-sec") {
-            const char *v = next();
-            char *end = nullptr;
-            const double sec = std::strtod(v, &end);
-            if (end == v || *end != '\0' || !(sec > 0.0)) {
-                std::fprintf(stderr,
-                             "--reissue-sec needs a positive "
-                             "number of seconds, got \"%s\"\n",
-                             v);
-                return std::nullopt;
-            }
-            o.reissueSec = sec;
-            o.remoteFlags = true;
-        } else if (a == "--no-cache") {
-            o.noCache = true;
-        } else if (a == "--help") {
-            o.help = true;
-        } else if (a == "--random") {
-            o.random = true;
-        } else if (a == "--vnr") {
-            o.vnr = true;
-        } else if (a == "--json") {
-            o.json = true;
-        } else if (a == "--progress") {
-            o.progress = true;
-        } else if (a == "--lines") {
-            o.lines = std::strtoull(next(), nullptr, 0);
-        } else if (a == "--seed") {
-            o.seed = std::strtoull(next(), nullptr, 0);
-        } else if (a == "--jobs") {
-            o.jobs = std::strtoul(next(), nullptr, 0);
-        } else if (a == "--shards") {
-            o.shards = std::strtoul(next(), nullptr, 0);
-        } else if (a == "--wear") {
-            o.wearEndurance = std::strtoull(next(), nullptr, 0);
-        } else if (a == "--wear-csv") {
-            o.wearCsv = next();
-        } else if (a == "--leveler") {
-            o.levelers.push_back(value());
-        } else if (a == "--endurance") {
-            o.endurance = next();
-        } else if (a == "--lifetime") {
-            o.lifetime = true;
-        } else if (a == "--simd") {
-            o.simd = next();
-        } else if (a == "--s3") {
-            o.s3 = std::strtod(next(), nullptr);
-        } else if (a == "--s4") {
-            o.s4 = std::strtod(next(), nullptr);
-        } else {
-            usage(argv[0]);
-            return std::nullopt;
-        }
-    }
-    if (o.help)
-        return o; // no stream/scheme validation applies
     if (o.schemes.empty())
         o.schemes.push_back("WLCRC-16");
-    const int sources = !o.workload.empty() + o.random +
-                        !o.traceIn.empty();
-    if (sources != 1 ||
-        (o.traceFormat != "v1" && o.traceFormat != "v2" &&
-         o.traceFormat != "v3") ||
-        (o.partition != "modulo" && o.partition != "range") ||
-        (o.backend != "thread" && o.backend != "serial" &&
-         o.backend != "process" && o.backend != "remote")) {
-        usage(argv[0]);
-        return std::nullopt;
-    }
-    if (o.backend == "remote" && o.listenPort == 0 &&
-        o.workers == 0) {
-        std::fprintf(stderr,
-                     "--backend remote needs someone to do the "
-                     "work: pass --workers N (spawn local "
-                     "wlcrc_worker processes) and/or --listen PORT "
-                     "(external workers connect there)\n");
-        usage(argv[0]);
-        return std::nullopt;
-    }
-    if (o.backend != "remote" && o.remoteFlags) {
-        std::fprintf(stderr,
-                     "--listen/--workers/--reissue-sec configure "
-                     "the head node; pass --backend remote\n");
-        usage(argv[0]);
-        return std::nullopt;
-    }
-    if (!o.traceCodec.empty() && o.traceFormat != "v3") {
-        std::fprintf(stderr, "--trace-codec applies to "
-                             "--trace-format v3 only\n");
-        usage(argv[0]);
-        return std::nullopt;
-    }
-    if (o.partition == "range" && o.traceIn.empty()) {
-        std::fprintf(stderr,
-                     "--partition range slices a stored trace's "
-                     "address span; it needs --trace-in\n");
-        usage(argv[0]);
-        return std::nullopt;
-    }
-    if (!o.traceIn.empty() && !o.traceOut.empty()) {
-        std::fprintf(stderr,
-                     "--trace-out only persists a synthesized "
-                     "stream; to re-frame an existing trace use "
-                     "`wlcrc_trace convert`\n");
-        usage(argv[0]);
-        return std::nullopt;
-    }
-    if (o.lifetime && o.endurance.empty()) {
-        std::fprintf(stderr,
-                     "--lifetime needs per-cell budgets; pass "
-                     "--endurance mean[:cov[:ecc[:cap]]]\n");
-        usage(argv[0]);
-        return std::nullopt;
-    }
-    if (!o.wearCsv.empty() && o.wearEndurance == 0) {
-        std::fprintf(stderr,
-                     "--wear-csv dumps the tracker --wear enables; "
-                     "pass --wear ENDURANCE too\n");
-        usage(argv[0]);
-        return std::nullopt;
-    }
-    return o;
+    usageCheck(!o.workload.empty() + o.random + !o.traceIn.empty() == 1,
+               "pass exactly one of --workload, --random and "
+               "--trace-in");
+    const bool headFlags = cl.given("--listen") ||
+                           cl.given("--workers") ||
+                           cl.given("--reissue-sec");
+    usageCheck(o.backend != "remote" || cl.given("--listen") ||
+                   cl.given("--workers"),
+               "--backend remote needs someone to do the work: pass "
+               "--workers N (spawn local wlcrc_worker processes) "
+               "and/or --listen PORT (external workers connect there)");
+    usageCheck(o.backend == "remote" || !headFlags,
+               "--listen/--workers/--reissue-sec configure the head "
+               "node; pass --backend remote");
+    usageCheck(o.traceCodec.empty() || o.traceFormat == "v3",
+               "--trace-codec applies to --trace-format v3 only");
+    usageCheck(o.partition != "range" || !o.traceIn.empty(),
+               "--partition range slices a stored trace's address "
+               "span; it needs --trace-in");
+    usageCheck(o.traceIn.empty() || o.traceOut.empty(),
+               "--trace-out only persists a synthesized stream; to "
+               "re-frame an existing trace use `wlcrc_trace convert`");
+    usageCheck(!o.lifetime || !o.endurance.empty(),
+               "--lifetime needs per-cell budgets; pass --endurance "
+               "mean[:cov[:ecc[:cap]]]");
+    usageCheck(o.wearCsv.empty() || o.wearEndurance != 0,
+               "--wear-csv dumps the tracker --wear enables; pass "
+               "--wear ENDURANCE too");
 }
 
 /**
@@ -438,92 +305,74 @@ workerBinary(const std::string &argv0)
 int
 main(int argc, char **argv)
 {
-    std::optional<Options> opts;
+    Options o;
+    CommandLine cl("wlcrc_sim", kUsage);
+    declare(cl, o);
+    if (const auto status =
+            cl.parse(argc, argv, [&] { check(cl, o); }))
+        return *status;
     try {
-        opts = parse(argc, argv);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "wlcrc_sim: %s\n", e.what());
-        return 2;
-    }
-    if (!opts)
-        return 2;
-    if (opts->help) {
-        usage(argv[0]);
-        return 0;
-    }
-
-    try {
-        if (!opts->simd.empty()) {
+        if (!o.simd.empty()) {
             // Resolve now (validates the name, throws on typos) and
             // export the concrete kernel so spawned wlcrc_workers
             // inherit the same choice.
-            simd::setKernelFromText(opts->simd);
+            simd::setKernelFromText(o.simd);
             ::setenv("WLCRC_SIMD",
                      simd::kernelName(simd::activeKernel()), 1);
         }
-        if (!opts->decodeAhead.empty()) {
-            // Validate here (envU64 would otherwise throw deep in a
-            // cursor open) and export, so spawned wlcrc_workers
-            // stage the same depth.
-            char *end = nullptr;
-            std::strtoull(opts->decodeAhead.c_str(), &end, 10);
-            if (end != opts->decodeAhead.c_str() +
-                           opts->decodeAhead.size() ||
-                opts->decodeAhead.empty())
-                throw std::invalid_argument(
-                    "--decode-ahead wants a block count, got '" +
-                    opts->decodeAhead + "'");
+        if (cl.given("--decode-ahead")) {
+            // Export, so spawned wlcrc_workers stage the same depth.
             ::setenv("WLCRC_DECODE_AHEAD",
-                     opts->decodeAhead.c_str(), 1);
+                     std::to_string(o.decodeAhead).c_str(), 1);
         }
         runner::DeviceConfig device;
-        device.s3 = opts->s3;
-        device.s4 = opts->s4;
-        device.vnr = opts->vnr;
-        device.wearEndurance = opts->wearEndurance;
+        device.s3 = o.s3;
+        device.s4 = o.s4;
+        device.vnr = o.vnr;
+        device.wearEndurance = o.wearEndurance;
 
         runner::ExperimentGrid grid;
-        grid.schemes(opts->schemes)
-            .lines(opts->lines)
-            .seed(opts->seed)
-            .shards(opts->shards)
-            .partition(opts->partition == "range"
+        grid.schemes(o.schemes)
+            .lines(o.lines)
+            .seed(o.seed)
+            .shards(o.shards)
+            .partition(o.partition == "range"
                            ? tracefile::Partition::range
                            : tracefile::Partition::modulo)
             .deviceConfigs({device});
-        if (!opts->traceIn.empty())
-            grid.sources({tracefile::openTraceSource(opts->traceIn)});
-        else if (opts->random)
+        if (!o.traceIn.empty())
+            grid.sources({tracefile::openTraceSource(o.traceIn)});
+        else if (o.random)
             grid.randomSource();
         else
-            grid.workloads({opts->workload});
-        if (!opts->levelers.empty()) {
+            grid.workloads({o.workload});
+        if (!o.levelers.empty()) {
             std::vector<wearlevel::LevelerConfig> axis;
-            for (const auto &l : opts->levelers)
+            for (const auto &l : o.levelers)
                 axis.push_back(wearlevel::parseLeveler(l));
             grid.levelers(std::move(axis));
         }
-        if (!opts->endurance.empty())
+        if (!o.endurance.empty())
             grid.endurances(
-                {wearlevel::parseEndurance(opts->endurance)});
-        if (opts->lifetime)
+                {wearlevel::parseEndurance(o.endurance)});
+        if (o.lifetime)
             grid.lifetime();
-        if (!opts->traceOut.empty())
-            persistTrace(*opts);
+        if (!o.traceOut.empty())
+            persistTrace(o);
 
         runner::RunnerOptions ropts;
-        ropts.jobs = opts->jobs;
-        if (opts->progress)
+        ropts.jobs = o.jobs;
+        if (o.progress)
             ropts.progress = runner::stderrProgress("wlcrc_sim");
 
         // --cache-dir wins over $WLCRC_CACHE_DIR; --no-cache
         // disables both (the env var lets CI and wrapper scripts
         // turn caching on without touching every command line);
         // --cache-remote wins over everything.
-        std::string cacheDir = opts->cacheDir;
+        std::string cacheDir = o.cacheDir;
         if (cacheDir.empty())
             cacheDir = envString("WLCRC_CACHE_DIR", "");
-        if (opts->noCache)
+        if (o.noCache)
             cacheDir.clear();
         std::shared_ptr<runner::CacheStore> localStore;
         if (!cacheDir.empty())
@@ -533,14 +382,13 @@ main(int argc, char **argv)
         // "process" is the same head with no flags of its own: an
         // ephemeral port and one spawned worker per job.
         std::shared_ptr<runner::RemoteBackend> remote;
-        if (opts->backend == "remote" || opts->backend == "process") {
+        if (o.backend == "remote" || o.backend == "process") {
             runner::RemoteBackendOptions bopts;
-            bopts.port =
-                static_cast<uint16_t>(opts->listenPort);
-            bopts.reissueSec = opts->reissueSec;
-            if (opts->workers > 0 || opts->backend == "process") {
+            bopts.port = o.listenPort;
+            bopts.reissueSec = o.reissueSec;
+            if (o.workers > 0 || o.backend == "process") {
                 bopts.workerBinary = workerBinary(argv[0]);
-                bopts.spawnWorkers = opts->workers;
+                bopts.spawnWorkers = o.workers;
             }
             // The head serves its own cache store to the cluster,
             // so head-local and worker-shared caching are one
@@ -553,20 +401,20 @@ main(int argc, char **argv)
                          "127.0.0.1:%u\n",
                          static_cast<unsigned>(remote->port()));
             ropts.backend = remote;
-        } else if (opts->backend != "thread") {
-            ropts.backend = runner::makeBackend(opts->backend);
+        } else if (o.backend != "thread") {
+            ropts.backend = runner::makeBackend(o.backend);
         }
 
         runner::RunStats stats;
         std::string cacheLabel = cacheDir;
-        if (!opts->cacheRemote.empty()) {
+        if (!o.cacheRemote.empty()) {
             const auto [host, port] =
-                runner::parseHostPort(opts->cacheRemote);
+                runner::parseHostPort(o.cacheRemote);
             ropts.cacheStore =
                 std::make_shared<runner::RemoteCacheStore>(host,
                                                            port);
             ropts.stats = &stats;
-            cacheLabel = "remote " + opts->cacheRemote;
+            cacheLabel = "remote " + o.cacheRemote;
         } else if (localStore) {
             ropts.cacheStore = localStore;
             ropts.stats = &stats;
@@ -576,7 +424,7 @@ main(int argc, char **argv)
         std::vector<runner::ExperimentSpec> specs = grid.expand();
         // A wear-histogram dump needs the merged per-cell tracker
         // on each result; such specs run in-process and uncached.
-        if (!opts->wearCsv.empty())
+        if (!o.wearCsv.empty())
             for (auto &s : specs)
                 s.keepWearTracker = true;
         const auto results = engine.run(specs);
@@ -605,12 +453,12 @@ main(int argc, char **argv)
                 return 1;
             }
         }
-        if (!opts->wearCsv.empty()) {
-            std::ofstream out(opts->wearCsv,
+        if (!o.wearCsv.empty()) {
+            std::ofstream out(o.wearCsv,
                               std::ios::binary | std::ios::trunc);
             if (!out)
                 throw std::runtime_error("cannot write " +
-                                         opts->wearCsv);
+                                         o.wearCsv);
             for (const auto &r : results) {
                 out << "# " << r.spec.label() << "\n"
                     << "writes,cells\n";
@@ -621,9 +469,9 @@ main(int argc, char **argv)
             }
             std::fprintf(stderr,
                          "wlcrc_sim: wear histogram -> %s\n",
-                         opts->wearCsv.c_str());
+                         o.wearCsv.c_str());
         }
-        if (opts->json)
+        if (o.json)
             runner::JsonReporter().write(std::cout, results);
         else
             runner::CsvReporter().write(std::cout, results);

@@ -32,7 +32,7 @@
  *
  * Examples:
  *   wlcrc_trace generate --workload gcc --lines 100000 --out gcc.trc
- *   wlcrc_trace generate --mix "lesl:2,libq:1" --lines 1e5 \
+ *   wlcrc_trace generate --mix "lesl:2,libq:1" --lines 100000 \
  *       --out blend.trc --format v3 --codec lz
  *   wlcrc_trace convert old.trc new.trc --format v3
  *   wlcrc_trace sort blend.trc sorted.trc --format v3 --mem-mb 64
@@ -42,14 +42,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
 #include "tracefile/block_codec.hh"
 #include "tracefile/format.hh"
 #include "tracefile/mapped_trace.hh"
@@ -63,31 +62,19 @@ namespace
 
 using namespace wlcrc;
 
-void
-usageText(std::FILE *to)
-{
-    std::fprintf(
-        to,
-        "usage: wlcrc_trace <subcommand> [options]\n"
-        "  generate (--workload W | --random | --mix \"A:w,B:w\")\n"
-        "           --out FILE [--lines N] [--seed S]\n"
-        "           [--format v1|v2|v3] [--codec raw|lz|zstd]\n"
-        "           [--block-records N]\n"
-        "  convert  IN OUT [--format v1|v2|v3] [--codec C]\n"
-        "           [--block-records N]\n"
-        "  sort     IN OUT [--format v1|v2|v3] [--codec C]\n"
-        "           [--block-records N] [--mem-mb M]\n"
-        "  info     FILE [--blocks]\n"
-        "  verify   FILE\n"
-        "  --help   print this usage and exit 0\n");
-}
-
-int
-usage()
-{
-    usageText(stderr);
-    return 2;
-}
+const char *const kUsage =
+    "usage: wlcrc_trace <subcommand> [options]\n"
+    "  generate (--workload W | --random | --mix \"A:w,B:w\")\n"
+    "           --out FILE [--lines N] [--seed S]\n"
+    "           [--format v1|v2|v3] [--codec raw|lz|zstd]\n"
+    "           [--block-records N]\n"
+    "  convert  IN OUT [--format v1|v2|v3] [--codec C]\n"
+    "           [--block-records N]\n"
+    "  sort     IN OUT [--format v1|v2|v3] [--codec C]\n"
+    "           [--block-records N] [--mem-mb M]\n"
+    "  info     FILE [--blocks]\n"
+    "  verify   FILE\n"
+    "  --help   print this usage and exit 0\n";
 
 /** Parse "gcc:2,lbm:1" into blend programs (weight defaults 1). */
 std::vector<trace::MixedSynthesizer::Program>
@@ -107,8 +94,9 @@ parseMix(const std::string &spec)
                 p.profile = entry;
             } else {
                 p.profile = entry.substr(0, colon);
-                p.weight =
-                    std::strtod(entry.c_str() + colon + 1, nullptr);
+                p.weight = parseReal(entry.substr(colon + 1),
+                                     "--mix weight of " + p.profile,
+                                     RealRange::positive);
             }
             programs.push_back(std::move(p));
         }
@@ -129,29 +117,17 @@ class AnyWriter
     AnyWriter(const std::string &path, const std::string &format,
               uint32_t blockRecords, const std::string &codec)
     {
-        if (format == "v2" || format == "v3") {
-            tracefile::WriterOptions opts;
-            opts.recordsPerBlock = blockRecords;
-            opts.format = format == "v3"
-                              ? tracefile::TraceFormat::v3
-                              : tracefile::TraceFormat::v2;
-            if (!codec.empty()) {
-                if (format != "v3")
-                    throw std::invalid_argument(
-                        "--codec applies to --format v3 only");
-                opts.codec = tracefile::parseCodecName(codec);
-            }
-            container_.emplace(path, opts);
-        } else if (format == "v1") {
-            if (!codec.empty())
-                throw std::invalid_argument(
-                    "--codec applies to --format v3 only");
+        if (format == "v1") {
             v1_.emplace(path);
-        } else {
-            throw std::invalid_argument("unknown --format '" +
-                                        format +
-                                        "' (v1, v2 or v3)");
+            return;
         }
+        tracefile::WriterOptions opts;
+        opts.recordsPerBlock = blockRecords;
+        opts.format = format == "v3" ? tracefile::TraceFormat::v3
+                                     : tracefile::TraceFormat::v2;
+        if (!codec.empty())
+            opts.codec = tracefile::parseCodecName(codec);
+        container_.emplace(path, opts);
     }
 
     void
@@ -183,68 +159,54 @@ struct Args
 {
     std::vector<std::string> positional;
     std::string workload, mix, out;
-    std::string format, codec;
+    std::vector<trace::MixedSynthesizer::Program> programs; //!< --mix
+    std::string format = "v2", codec;
     bool random = false, blocks = false;
     uint64_t lines = 10000, seed = 1;
     uint64_t memMb = 64;
     uint32_t blockRecords = tracefile::defaultRecordsPerBlock;
-    bool ok = true;
 };
 
-Args
-parseArgs(int argc, char **argv, int from)
+/**
+ * Declare @p cmd's flags, bound to @p a's fields.
+ * @return how many positionals @p cmd takes, or -1 if @p cmd is not
+ *         a subcommand.
+ */
+int
+declare(CommandLine &cl, const std::string &cmd, Args &a)
 {
-    Args a;
-    for (int i = from; i < argc; ++i) {
-        const std::string s = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                a.ok = false;
-                return "";
-            }
-            return argv[++i];
-        };
-        if (s == "--workload")
-            a.workload = next();
-        else if (s == "--mix")
-            a.mix = next();
-        else if (s == "--random")
-            a.random = true;
-        else if (s == "--out")
-            a.out = next();
-        else if (s == "--format")
-            a.format = next();
-        else if (s == "--codec")
-            a.codec = next();
-        else if (s == "--lines")
-            a.lines = static_cast<uint64_t>(
-                std::strtod(next(), nullptr)); // accepts 1e6
-        else if (s == "--seed")
-            a.seed = std::strtoull(next(), nullptr, 0);
-        else if (s == "--mem-mb")
-            a.memMb = std::strtoull(next(), nullptr, 0);
-        else if (s == "--block-records")
-            a.blockRecords =
-                static_cast<uint32_t>(std::strtoul(next(), nullptr, 0));
-        else if (s == "--blocks")
-            a.blocks = true;
-        else if (!s.empty() && s[0] == '-')
-            a.ok = false;
-        else
-            a.positional.push_back(s);
-    }
-    return a;
+    if (cmd == "generate")
+        cl.text("--workload", a.workload)
+            .value("--mix",
+                   [&a](const std::string &v) {
+                       a.mix = v;
+                       a.programs = parseMix(v);
+                   })
+            .flag("--random", a.random)
+            .text("--out", a.out)
+            .uint("--lines", a.lines)
+            .uint("--seed", a.seed);
+    if (cmd == "generate" || cmd == "convert" || cmd == "sort")
+        cl.choice("--format", a.format, {"v1", "v2", "v3"})
+            .text("--codec", a.codec)
+            .uint("--block-records", a.blockRecords, 1);
+    if (cmd == "sort") // the budget in bytes must fit 64 bits
+        cl.uint("--mem-mb", a.memMb, 1, UINT64_MAX >> 20);
+    if (cmd == "info")
+        cl.flag("--blocks", a.blocks);
+    cl.positionals(a.positional);
+    if (cmd == "generate")
+        return 0;
+    if (cmd == "convert" || cmd == "sort")
+        return 2;
+    if (cmd == "info" || cmd == "verify")
+        return 1;
+    return -1;
 }
 
 int
 cmdGenerate(const Args &a)
 {
-    const int sources = !a.workload.empty() + !a.mix.empty() +
-                        a.random;
-    if (!a.ok || sources != 1 || a.out.empty() ||
-        !a.positional.empty())
-        return usage();
-
     std::function<trace::WriteTransaction()> draw;
     std::string what;
     std::optional<trace::TraceSynthesizer> synth;
@@ -256,7 +218,7 @@ cmdGenerate(const Args &a)
         draw = [&] { return synth->next(); };
         what = "workload " + a.workload;
     } else if (!a.mix.empty()) {
-        mixed.emplace(parseMix(a.mix), a.seed);
+        mixed.emplace(a.programs, a.seed);
         draw = [&] { return mixed->next(); };
         what = "blend " + a.mix;
     } else {
@@ -265,8 +227,7 @@ cmdGenerate(const Args &a)
         what = "random data";
     }
 
-    AnyWriter writer(a.out, a.format.empty() ? "v2" : a.format,
-                     a.blockRecords, a.codec);
+    AnyWriter writer(a.out, a.format, a.blockRecords, a.codec);
     for (uint64_t i = 0; i < a.lines; ++i)
         writer.write(draw());
     const uint64_t written = writer.close();
@@ -279,22 +240,18 @@ cmdGenerate(const Args &a)
 int
 cmdConvert(const Args &a)
 {
-    if (!a.ok || a.positional.size() != 2)
-        return usage();
     const std::string &in = a.positional[0];
     const std::string &out = a.positional[1];
 
     const auto source = tracefile::openTraceSource(in);
-    AnyWriter writer(out, a.format.empty() ? "v2" : a.format,
-                     a.blockRecords, a.codec);
+    AnyWriter writer(out, a.format, a.blockRecords, a.codec);
     auto cursor = source->open({});
     while (auto t = cursor->next())
         writer.write(*t);
     const uint64_t written = writer.close();
     std::printf("converted %llu records: %s -> %s (%s)\n",
                 static_cast<unsigned long long>(written), in.c_str(),
-                out.c_str(),
-                a.format.empty() ? "v2" : a.format.c_str());
+                out.c_str(), a.format.c_str());
     return 0;
 }
 
@@ -411,8 +368,6 @@ sortSource(const tracefile::TransactionSource &src, AnyWriter &out,
 int
 cmdSort(const Args &a)
 {
-    if (!a.ok || a.positional.size() != 2 || a.memMb == 0)
-        return usage();
     const std::string &in = a.positional[0];
     const std::string &out = a.positional[1];
 
@@ -420,8 +375,7 @@ cmdSort(const Args &a)
     const uint64_t budgetRecords =
         std::max<uint64_t>(1, a.memMb * 1024 * 1024 /
                                   sizeof(trace::WriteTransaction));
-    AnyWriter writer(out, a.format.empty() ? "v2" : a.format,
-                     a.blockRecords, a.codec);
+    AnyWriter writer(out, a.format, a.blockRecords, a.codec);
     sortSource(*source, writer, budgetRecords, out + ".sort", 0);
     const uint64_t written = writer.close();
     std::printf("sorted %llu records by line address: %s -> %s\n",
@@ -433,8 +387,6 @@ cmdSort(const Args &a)
 int
 cmdInfo(const Args &a)
 {
-    if (!a.ok || a.positional.size() != 1)
-        return usage();
     const std::string &path = a.positional[0];
 
     const auto format = tracefile::detectFormat(path);
@@ -513,8 +465,6 @@ cmdInfo(const Args &a)
 int
 cmdVerify(const Args &a)
 {
-    if (!a.ok || a.positional.size() != 1)
-        return usage();
     const std::string &path = a.positional[0];
 
     if (tracefile::detectFormat(path) == tracefile::TraceFormat::v1) {
@@ -547,26 +497,43 @@ cmdVerify(const Args &a)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
-    const std::string cmd = argv[1];
+    const std::string cmd = argc > 1 ? argv[1] : "";
     if (cmd == "--help" || cmd == "help") {
-        usageText(stdout);
+        std::fputs(kUsage, stdout);
         return 0;
     }
+    Args a;
+    CommandLine cl("wlcrc_trace", kUsage);
+    const int positionals = declare(cl, cmd, a);
+    if (positionals < 0)
+        return cl.fail(cmd.empty() ? "missing subcommand"
+                                   : "unknown subcommand " + cmd);
+    const auto check = [&] {
+        usageCheck(a.positional.size() ==
+                       static_cast<std::size_t>(positionals),
+                   cmd + " takes " + std::to_string(positionals) +
+                       " file argument" + (positionals == 1 ? "" : "s"));
+        const int sources =
+            !a.workload.empty() + !a.mix.empty() + a.random;
+        usageCheck(cmd != "generate" || sources == 1,
+                   "pass exactly one of --workload, --mix and --random");
+        usageCheck(cmd != "generate" || !a.out.empty(),
+                   "generate needs --out FILE");
+        usageCheck(a.codec.empty() || a.format == "v3",
+                   "--codec applies to --format v3 only");
+    };
+    if (const auto status = cl.parse(argc, argv, check, 2))
+        return *status;
     try {
-        const Args args = parseArgs(argc, argv, 2);
         if (cmd == "generate")
-            return cmdGenerate(args);
+            return cmdGenerate(a);
         if (cmd == "convert")
-            return cmdConvert(args);
+            return cmdConvert(a);
         if (cmd == "sort")
-            return cmdSort(args);
+            return cmdSort(a);
         if (cmd == "info")
-            return cmdInfo(args);
-        if (cmd == "verify")
-            return cmdVerify(args);
-        return usage();
+            return cmdInfo(a);
+        return cmdVerify(a);
     } catch (const std::exception &err) {
         std::fprintf(stderr, "error: %s\n", err.what());
         return 1;

@@ -13,7 +13,9 @@
  * the byte-compared report stream, and a locally spawned worker
  * shares the terminal. Status goes to stderr.
  *
- * A missing or repeated flag value is a usage error (exit 2).
+ * Flags and numbers follow common/parse.hh (docs/cli.md, "Flags and
+ * numbers"): a missing value, a repeated flag or a malformed or
+ * out-of-range number is a usage error (exit 2).
  *
  * The --kill-after / --hang-after flags are fault injection for the
  * test suite and CI chaos job — a worker that dies or hangs
@@ -21,99 +23,38 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "common/parse.hh"
 #include "common/simd.hh"
 #include "runner/remote.hh"
 
 namespace
 {
 
-void
-usage(std::FILE *out)
-{
-    std::fprintf(
-        out,
-        "usage: wlcrc_worker --connect HOST:PORT [options]\n"
-        "\n"
-        "Serve grid points for a wlcrc_sim head node (WRK1\n"
-        "protocol, docs/distributed.md). Exits when the head\n"
-        "sends Fin or the connection drops.\n"
-        "\n"
-        "  --connect HOST:PORT  head node to pull work from\n"
-        "                       (bare PORT means 127.0.0.1)\n"
-        "  --loops N            concurrent pull loops, each its\n"
-        "                       own connection (default 1)\n"
-        "  --simd KERNEL        encode kernel: auto scalar avx2\n"
-        "                       neon (default $WLCRC_SIMD, else\n"
-        "                       auto)\n"
-        "  --kill-after N       fault injection: SIGKILL self on\n"
-        "                       receiving the Nth point\n"
-        "  --hang-after N       fault injection: hang forever on\n"
-        "                       receiving the Nth point\n"
-        "  --help               this text\n");
-}
-
-struct Options
-{
-    wlcrc::runner::WorkerOptions worker;
-    unsigned loops = 1;
-    std::string simd; //!< empty = $WLCRC_SIMD, as the head exports
-    bool help = false;
-};
-
-Options
-parse(int argc, char **argv)
-{
-    Options o;
-    std::set<std::string> seen;
-    auto value = [&](int &i, const char *flag) -> std::string {
-        // One value per flag: a repeat is a usage error, never a
-        // silent override.
-        if (!seen.insert(flag).second)
-            throw std::runtime_error(std::string(flag) +
-                                     " given twice");
-        if (i + 1 >= argc)
-            throw std::runtime_error(std::string(flag) +
-                                     " needs a value");
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            o.help = true;
-        } else if (arg == "--connect") {
-            const auto [host, port] = wlcrc::runner::parseHostPort(
-                value(i, "--connect"));
-            o.worker.host = host;
-            o.worker.port = port;
-        } else if (arg == "--loops") {
-            o.loops = static_cast<unsigned>(
-                std::stoul(value(i, "--loops")));
-            if (o.loops == 0)
-                throw std::runtime_error("--loops must be >= 1");
-        } else if (arg == "--simd") {
-            o.simd = value(i, "--simd");
-        } else if (arg == "--kill-after") {
-            o.worker.killAfter =
-                std::stoi(value(i, "--kill-after"));
-        } else if (arg == "--hang-after") {
-            o.worker.hangAfter =
-                std::stoi(value(i, "--hang-after"));
-        } else {
-            throw std::runtime_error("unknown option " + arg);
-        }
-    }
-    if (!o.help && !seen.count("--connect"))
-        throw std::runtime_error("--connect HOST:PORT is required");
-    return o;
-}
+const char *const kUsage =
+    "usage: wlcrc_worker --connect HOST:PORT [options]\n"
+    "\n"
+    "Serve grid points for a wlcrc_sim head node (WRK1\n"
+    "protocol, docs/distributed.md). Exits when the head\n"
+    "sends Fin or the connection drops.\n"
+    "\n"
+    "  --connect HOST:PORT  head node to pull work from\n"
+    "                       (bare PORT means 127.0.0.1)\n"
+    "  --loops N            concurrent pull loops, each its\n"
+    "                       own connection (default 1)\n"
+    "  --simd KERNEL        encode kernel: auto scalar avx2\n"
+    "                       neon (default $WLCRC_SIMD, else\n"
+    "                       auto)\n"
+    "  --kill-after N       fault injection: SIGKILL self on\n"
+    "                       receiving the Nth point\n"
+    "  --hang-after N       fault injection: hang forever on\n"
+    "                       receiving the Nth point\n"
+    "  --help               this text\n";
 
 } // namespace
 
@@ -122,35 +63,36 @@ main(int argc, char **argv)
 {
     using namespace wlcrc;
 
-    Options opts;
-    try {
-        opts = parse(argc, argv);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "wlcrc_worker: %s\n", e.what());
-        usage(stderr);
-        return 2;
-    }
-    if (opts.help) {
-        usage(stdout);
-        return 0;
-    }
-    try {
-        if (!opts.simd.empty())
-            simd::setKernelFromText(opts.simd);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "wlcrc_worker: %s\n", e.what());
-        return 2;
-    }
+    runner::WorkerOptions worker;
+    unsigned loops = 1;
+    CommandLine cl("wlcrc_worker", kUsage);
+    cl.helpAlias("-h")
+        .value("--connect",
+               [&](const std::string &v) {
+                   std::tie(worker.host, worker.port) =
+                       runner::parseHostPort(v);
+               })
+        .uint("--loops", loops, 1, 4096)
+        // Unset, the worker keeps $WLCRC_SIMD, as the head exports.
+        .value("--simd", simd::setKernelFromText)
+        .uint("--kill-after", worker.killAfter)
+        .uint("--hang-after", worker.hangAfter);
+    const auto check = [&] {
+        usageCheck(cl.given("--connect"),
+                   "--connect HOST:PORT is required");
+    };
+    if (const auto status = cl.parse(argc, argv, check))
+        return *status;
 
     // Each loop is an independent connection so the head's queue,
     // reissue and death accounting see N workers, not one.
     std::vector<std::thread> threads;
-    std::vector<runner::WorkerStats> stats(opts.loops);
-    std::vector<std::string> errors(opts.loops);
-    for (unsigned i = 0; i < opts.loops; ++i) {
+    std::vector<runner::WorkerStats> stats(loops);
+    std::vector<std::string> errors(loops);
+    for (unsigned i = 0; i < loops; ++i) {
         threads.emplace_back([&, i] {
             try {
-                stats[i] = runner::runWorkerLoop(opts.worker);
+                stats[i] = runner::runWorkerLoop(worker);
             } catch (const std::exception &e) {
                 errors[i] = e.what();
             }
@@ -158,7 +100,7 @@ main(int argc, char **argv)
     }
     runner::WorkerStats total;
     bool failed = false;
-    for (unsigned i = 0; i < opts.loops; ++i) {
+    for (unsigned i = 0; i < loops; ++i) {
         threads[i].join();
         total.pointsRun += stats[i].pointsRun;
         total.failures += stats[i].failures;
