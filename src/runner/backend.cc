@@ -1,14 +1,12 @@
 #include "backend.hh"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 
 #include "common/simd.hh"
 #include "pcm/disturbance.hh"
 #include "pcm/energy_model.hh"
 #include "runner/remote.hh"
-#include "wearlevel/lifetime.hh"
 #include "runner/runner.hh"
 #include "runner/thread_pool.hh"
 #include "tracefile/source.hh"
@@ -20,15 +18,6 @@ namespace wlcrc::runner
 
 namespace
 {
-
-/** Everything one shard produces. */
-struct ShardOutcome
-{
-    trace::ReplayResult replay;
-    std::optional<pcm::WearTracker> wear;
-    wearlevel::LifetimeResult lifetime; //!< leveled/lifetime specs
-    std::string error; // empty = success
-};
 
 /**
  * Materialise a spec's full transaction stream, for hooks that want
@@ -71,33 +60,6 @@ groupsOf(const ExperimentSpec &spec, unsigned width)
     return fansOut(spec) ? std::min(shards, width) : shards;
 }
 
-/** The codec every replay of @p spec runs through. */
-coset::CodecPtr
-specCodec(const ExperimentSpec &spec, const pcm::EnergyModel &energy)
-{
-    return spec.codecFactory ? spec.codecFactory(energy)
-                             : core::makeCodec(spec.scheme, energy);
-}
-
-/**
- * Shard @p shard's replayer, on a device seeded shardSeed(); attaches
- * @p out's wear tracker when the spec tracks wear.
- */
-std::unique_ptr<trace::Replayer>
-shardReplayer(const ExperimentSpec &spec, const coset::LineCodec &codec,
-              const pcm::WriteUnit &unit, unsigned shard,
-              ShardOutcome &out)
-{
-    auto rep = std::make_unique<trace::Replayer>(
-        codec, unit, shardSeed(spec.seed, shard, spec.shards),
-        spec.device.vnr);
-    if (spec.device.wearEndurance || spec.keepWearTracker) {
-        out.wear.emplace(codec.cellCount());
-        rep->device().attachWearTracker(&*out.wear);
-    }
-    return rep;
-}
-
 /**
  * Replay shard @p shard of a spec that does not fan out: custom
  * replays and leveled/lifetime specs (single-sharded), and sourced
@@ -119,10 +81,7 @@ runShard(const ExperimentSpec &spec, unsigned shard)
                 : spec.customReplay(spec, materialiseStream(spec));
         return out;
     }
-    const auto energy = pcm::EnergyModel::withHighStateEnergies(
-        spec.device.s3, spec.device.s4);
-    const auto codec = specCodec(spec, energy);
-    const pcm::WriteUnit unit{energy, pcm::DisturbanceModel()};
+    const ShardKit kit(spec);
     if (spec.lifetime || spec.leveler.active()) {
         // Leveled and lifetime replays need one globally consistent
         // line mapping, so they always run as a single shard
@@ -137,7 +96,7 @@ runShard(const ExperimentSpec &spec, unsigned shard)
         lopts.endurance = spec.endurance;
         lopts.seed = spec.seed;
         lopts.vnr = spec.device.vnr;
-        wearlevel::LifetimeEngine engine(*codec, unit, lopts);
+        wearlevel::LifetimeEngine engine(*kit.codec, kit.unit, lopts);
         out.lifetime =
             engine.run(materialiseStream(spec), spec.lifetime);
         out.replay = engine.replayResult();
@@ -149,7 +108,7 @@ runShard(const ExperimentSpec &spec, unsigned shard)
     // The cursor filters (and block-prunes) source-side; records
     // arrive already restricted to this shard and stream through
     // Replayer::runBatch in fixed blocks.
-    const auto rep = shardReplayer(spec, *codec, unit, shard, out);
+    const auto rep = shardReplayer(spec, kit, shard, out);
     tracefile::ShardFilter filter{spec.shards > 1 ? spec.shards : 1,
                                   shard};
     if (spec.partition == tracefile::Partition::range &&
@@ -183,10 +142,7 @@ fanOutGroup(const ExperimentSpec &spec, unsigned group, unsigned groups,
             std::vector<ShardOutcome> &outcomes)
 {
     constexpr std::size_t block = trace::Replayer::batchLines;
-    const auto energy = pcm::EnergyModel::withHighStateEnergies(
-        spec.device.s3, spec.device.s4);
-    const auto codec = specCodec(spec, energy);
-    const pcm::WriteUnit unit{energy, pcm::DisturbanceModel()};
+    const ShardKit kit(spec);
 
     // Lane k serves shard group + k * groups.
     struct Lane
@@ -196,8 +152,7 @@ fanOutGroup(const ExperimentSpec &spec, unsigned group, unsigned groups,
     };
     std::vector<Lane> lanes;
     for (unsigned s = group; s < outcomes.size(); s += groups) {
-        lanes.push_back(
-            {shardReplayer(spec, *codec, unit, s, outcomes[s]), {}});
+        lanes.push_back({shardReplayer(spec, kit, s, outcomes[s]), {}});
         lanes.back().pending.reserve(block);
     }
     trace::synthesize(
@@ -248,10 +203,42 @@ runGroup(const ExperimentSpec &spec, unsigned group, unsigned groups,
     }
 }
 
-/** Merge per-shard outcomes (in shard order) into one result. */
+void
+notify(const std::function<void()> &taskDone)
+{
+    if (taskDone)
+        taskDone();
+}
+
+} // namespace
+
+ShardKit::ShardKit(const ExperimentSpec &spec)
+    : energy(pcm::EnergyModel::withHighStateEnergies(spec.device.s3,
+                                                     spec.device.s4)),
+      codec(spec.codecFactory ? spec.codecFactory(energy)
+                              : core::makeCodec(spec.scheme, energy)),
+      unit(energy, pcm::DisturbanceModel())
+{}
+
+std::unique_ptr<trace::Replayer>
+shardReplayer(const ExperimentSpec &spec, const ShardKit &kit,
+              unsigned shard, ShardOutcome &out)
+{
+    auto rep = std::make_unique<trace::Replayer>(
+        *kit.codec, kit.unit, shardSeed(spec.seed, shard, spec.shards),
+        spec.device.vnr);
+    if (spec.device.wearEndurance || spec.keepWearTracker) {
+        out.wear.emplace(kit.codec->cellCount());
+        rep->device().attachWearTracker(&*out.wear);
+    }
+    return rep;
+}
+
+// With a const Outcomes, std::move yields a const rvalue, so the
+// first tracker and the lifetime are copied rather than moved.
+template <typename Outcomes>
 ExperimentResult
-mergeShards(const ExperimentSpec &spec,
-            std::vector<ShardOutcome> &outcomes)
+mergeShards(const ExperimentSpec &spec, Outcomes &outcomes)
 {
     ExperimentResult res;
     res.spec = spec;
@@ -285,14 +272,10 @@ mergeShards(const ExperimentSpec &spec,
     return res;
 }
 
-void
-notify(const std::function<void()> &taskDone)
-{
-    if (taskDone)
-        taskDone();
-}
-
-} // namespace
+template ExperimentResult
+mergeShards(const ExperimentSpec &, std::vector<ShardOutcome> &);
+template ExperimentResult
+mergeShards(const ExperimentSpec &, const std::vector<ShardOutcome> &);
 
 unsigned
 effectiveShards(const ExperimentSpec &spec)

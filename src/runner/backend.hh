@@ -24,11 +24,14 @@
  *
  * Determinism: a backend only ever changes *where* shards execute.
  * Every shard replays exactly its own records, in stream order, on
- * a device seeded from the spec (shardSeed); shard merges happen in
- * fixed shard order, and results come back in spec order, so
- * serial, thread and remote execution of the same grid are
- * byte-identical whatever the shard grouping — tests/backend_test.cc
- * and the golden bench suite enforce it.
+ * a device seeded from the spec (shardReplayer); shard merges happen
+ * in fixed shard order (mergeShards), and results come back in spec
+ * order, so serial, thread and remote execution of the same grid
+ * are byte-identical whatever the shard grouping —
+ * tests/backend_test.cc and the golden bench suite enforce it. The
+ * live service's banks (serve/engine.hh) are shards of the same
+ * kind: built by shardReplayer, fed in arrival order, folded by
+ * mergeShards.
  */
 
 #ifndef WLCRC_RUNNER_BACKEND_HH
@@ -37,13 +40,62 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "pcm/write_unit.hh"
 #include "runner/experiment.hh"
 
 namespace wlcrc::runner
 {
+
+/** Everything one shard produces. */
+struct ShardOutcome
+{
+    trace::ReplayResult replay;
+    /** The shard's wear tracker; shardReplayer attaches it to the
+     *  shard's device, so it must stay put while the shard runs. */
+    std::optional<pcm::WearTracker> wear;
+    wearlevel::LifetimeResult lifetime; //!< leveled/lifetime specs
+    std::string error; // empty = success
+};
+
+/**
+ * What every shard of a spec replays through: the spec's device
+ * energies, its codec (codecFactory, else the named scheme) and the
+ * write unit. Shards of one spec may share one.
+ */
+struct ShardKit
+{
+    explicit ShardKit(const ExperimentSpec &spec);
+
+    pcm::EnergyModel energy;
+    coset::CodecPtr codec;
+    pcm::WriteUnit unit;
+};
+
+/**
+ * Shard @p shard's replayer over @p kit, on a device seeded
+ * shardSeed(); attaches @p out's wear tracker when the spec tracks
+ * wear. @p kit and @p out must outlive the replayer.
+ */
+std::unique_ptr<trace::Replayer>
+shardReplayer(const ExperimentSpec &spec, const ShardKit &kit,
+              unsigned shard, ShardOutcome &out);
+
+/**
+ * Merge per-shard outcomes, in shard order, into one result: the
+ * first failed shard fails it, otherwise replays and wear trackers
+ * fold shard by shard and the wear summary and projected lifetime
+ * come from the merged tracker. A mutable @p outcomes gives its
+ * first tracker up to the merge (moved, not copied); a const one is
+ * copied from and left as it was, so that fold can be repeated.
+ * Defined for std::vector<ShardOutcome>, const or not.
+ */
+template <typename Outcomes>
+ExperimentResult mergeShards(const ExperimentSpec &spec,
+                             Outcomes &outcomes);
 
 /** Executes spec lists; stateless apart from configuration. */
 class ExecutionBackend

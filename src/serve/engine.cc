@@ -1,16 +1,33 @@
 #include "engine.hh"
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <type_traits>
 
-#include "pcm/disturbance.hh"
-#include "pcm/energy_model.hh"
 #include "runner/runner.hh"
-#include "wlcrc/factory.hh"
 
 namespace wlcrc::serve
 {
+
+namespace
+{
+
+/** The runner spec the banks of an engine configured @p cfg form. */
+runner::ExperimentSpec
+liveSpec(const EngineConfig &cfg)
+{
+    runner::ExperimentSpec spec;
+    spec.scheme = cfg.scheme;
+    spec.workload = "live";
+    spec.seed = cfg.seed;
+    spec.shards = std::max(cfg.banks, 1u);
+    spec.device = {cfg.s3, cfg.s4, cfg.vnr, cfg.wearEndurance};
+    return spec;
+}
+
+} // namespace
 
 // The seqlock slot is copied with memcpy between epoch bumps; that
 // is only sound for a trivially copyable result struct.
@@ -19,28 +36,15 @@ static_assert(
     "ReplayResult must stay trivially copyable for the seqlock");
 
 BankEngine::BankEngine(const EngineConfig &cfg)
-    : cfg_(cfg),
-      codec_(core::makeCodec(
-          cfg.scheme, pcm::EnergyModel::withHighStateEnergies(
-                          cfg.s3, cfg.s4))),
-      unit_(pcm::EnergyModel::withHighStateEnergies(cfg.s3, cfg.s4),
-            pcm::DisturbanceModel())
+    : cfg_(cfg), spec_(liveSpec(cfg)), kit_(spec_),
+      // Sized once: each device points at its shard's wear tracker.
+      outcomes_(spec_.shards)
 {
-    const unsigned banks = cfg_.banks ? cfg_.banks : 1;
-    cfg_.banks = banks;
-    banks_.reserve(banks);
-    for (unsigned b = 0; b < banks; ++b) {
+    cfg_.banks = spec_.shards;
+    banks_.reserve(cfg_.banks);
+    for (unsigned b = 0; b < cfg_.banks; ++b) {
         auto bank = std::make_unique<Bank>(cfg_.queueCapacity);
-        // Seed bank b the way the offline runner seeds shard b of a
-        // banks-way sharded replay — the root of the capture-replay
-        // equivalence guarantee.
-        bank->replayer = std::make_unique<trace::Replayer>(
-            *codec_, unit_,
-            runner::shardSeed(cfg_.seed, b, banks), cfg_.vnr);
-        if (cfg_.wearEndurance) {
-            bank->wear.emplace(codec_->cellCount());
-            bank->replayer->device().attachWearTracker(&*bank->wear);
-        }
+        bank->replayer = runner::shardReplayer(spec_, kit_, b, outcomes_[b]);
         banks_.push_back(std::move(bank));
     }
 }
@@ -56,10 +60,9 @@ BankEngine::start()
     if (started_)
         return;
     started_ = true;
-    for (auto &bank : banks_) {
-        Bank *b = bank.get();
-        bank->worker = std::thread([this, b] { workerLoop(*b); });
-    }
+    for (std::size_t b = 0; b < banks_.size(); ++b)
+        banks_[b]->worker = std::thread(
+            [this, b] { workerLoop(*banks_[b], outcomes_[b]); });
 }
 
 void
@@ -106,7 +109,8 @@ BankEngine::drainWait(const ConnTicket &ticket) const
 }
 
 void
-BankEngine::publish(Bank &bank) const
+BankEngine::publish(Bank &bank,
+                    const runner::ShardOutcome &outcome) const
 {
     const uint64_t s = bank.seq.load(std::memory_order_relaxed);
     bank.seq.store(s + 1, std::memory_order_release);
@@ -116,8 +120,8 @@ BankEngine::publish(Bank &bank) const
     std::atomic_thread_fence(std::memory_order_release);
     bank.seq.store(s + 2, std::memory_order_release);
     // summary() is O(1), so the CoV is current at every publish.
-    if (bank.wear)
-        bank.wearCov.store(bank.wear->summary().covCellWrites,
+    if (outcome.wear)
+        bank.wearCov.store(outcome.wear->summary().covCellWrites,
                            std::memory_order_relaxed);
 }
 
@@ -138,19 +142,23 @@ BankEngine::readSnap(const Bank &bank) const
 }
 
 void
-BankEngine::workerLoop(Bank &bank)
+BankEngine::workerLoop(Bank &bank, runner::ShardOutcome &outcome)
 {
-    Item item;
-    while (bank.queue.pop(item)) {
-        bank.replayer->step(item.txn);
-        bank.writes.fetch_add(1, std::memory_order_relaxed);
-        encoded_.fetch_add(1, std::memory_order_relaxed);
-        publish(bank);
-        if (item.ticket)
-            item.ticket->encoded.fetch_add(
-                1, std::memory_order_release);
+    constexpr std::size_t block = trace::Replayer::batchLines;
+    std::array<Item, block> items;
+    std::array<trace::WriteTransaction, block> txns;
+    while (const std::size_t n = bank.queue.popSome(items.data(), block)) {
+        for (std::size_t i = 0; i < n; ++i)
+            txns[i] = items[i].txn;
+        bank.replayer->pushBlock(txns.data(), n);
+        encoded_.fetch_add(n, std::memory_order_relaxed);
+        publish(bank, outcome);
+        for (std::size_t i = 0; i < n; ++i)
+            if (items[i].ticket)
+                items[i].ticket->encoded.fetch_add(
+                    1, std::memory_order_release);
     }
-    publish(bank);
+    outcome.replay = bank.replayer->result();
 }
 
 std::vector<BankSnapshot>
@@ -160,7 +168,6 @@ BankEngine::snapshot() const
     out.reserve(banks_.size());
     for (const auto &bank : banks_) {
         BankSnapshot s;
-        s.writes = bank->writes.load(std::memory_order_relaxed);
         s.queueDepth = bank->queue.depth();
         s.stalls = bank->queue.stallCount();
         s.wearCov = bank->wearCov.load(std::memory_order_relaxed);
@@ -174,33 +181,17 @@ trace::ReplayResult
 BankEngine::mergedResult() const
 {
     trace::ReplayResult merged;
-    if (stopped_) {
-        // Workers are joined: read the exact per-bank results in
-        // bank order, matching the runner's shard merge.
-        for (const auto &bank : banks_)
-            merged.merge(bank->replayer->result());
-    } else {
-        for (const auto &bank : banks_)
-            merged.merge(readSnap(*bank));
-    }
+    for (const auto &bank : banks_)
+        merged.merge(readSnap(*bank));
     return merged;
 }
 
-std::optional<pcm::WearTracker>
-BankEngine::mergedWear() const
+runner::ExperimentResult
+BankEngine::finalResult() const
 {
-    if (!cfg_.wearEndurance)
-        return std::nullopt;
-    std::optional<pcm::WearTracker> merged;
-    for (const auto &bank : banks_) {
-        if (!bank->wear)
-            continue;
-        if (!merged)
-            merged = *bank->wear;
-        else
-            merged->merge(*bank->wear);
-    }
-    return merged;
+    runner::ExperimentSpec spec = spec_;
+    spec.lines = totalEncoded();
+    return runner::mergeShards(spec, outcomes_);
 }
 
 } // namespace wlcrc::serve

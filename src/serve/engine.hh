@@ -2,19 +2,23 @@
  * @file
  * BankEngine: the encode core of the live write-stream service.
  *
- * Device state is sharded by bank exactly the way the offline
- * runner shards a replay: bank = lineAddr % banks, and bank b's
- * Replayer is seeded with shardSeed(seed, b, banks). Each bank owns
- * one encode worker thread fed by its own BoundedQueue, so
- * connections writing to disjoint banks never contend — the only
- * shared state between a producer and an encode is the bank's queue
- * mutex stripe. Because the sharding function, the seeds and the
- * per-bank arrival order match the runner's shard cursors, a
- * captured stream replayed offline with --shards <banks> reproduces
- * the engine's merged statistics bit for bit (the capture-replay
- * equivalence the serve tests enforce).
+ * Each bank is a shard of the offline runner's sharded replay
+ * (runner/backend.hh): bank = lineAddr % banks, and bank b's
+ * replayer and wear tracker come from runner::shardReplayer for
+ * shard b of the engine's spec(). Each bank owns one encode worker
+ * thread fed by its own BoundedQueue, so connections writing to
+ * disjoint banks never contend — the only shared state between a
+ * producer and an encode is the bank's queue mutex stripe. The
+ * worker takes whatever is queued, up to Replayer::batchLines
+ * records, and replays it as one block (Replayer::pushBlock), which
+ * equals replaying the records one by one. Because the sharding
+ * function, the seeds and the per-bank arrival order match the
+ * runner's shards, and the final result is the runner's mergeShards
+ * fold, a captured stream replayed offline with --shards <banks>
+ * reproduces the engine's merged statistics bit for bit (the
+ * capture-replay equivalence the serve tests enforce).
  *
- * Telemetry is captured without stalling encode: after every write,
+ * Telemetry is captured without stalling encode: after every block,
  * a bank's worker publishes its ReplayResult into a per-bank
  * seqlock slot (two relaxed counter bumps around a trivially-
  * copyable struct copy). Snapshot readers retry until they observe
@@ -27,14 +31,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "coset/codec.hh"
-#include "pcm/wear.hh"
-#include "pcm/write_unit.hh"
+#include "runner/backend.hh"
 #include "serve/queue.hh"
 #include "trace/replay.hh"
 #include "trace/transaction.hh"
@@ -47,7 +48,7 @@ struct EngineConfig
 {
     std::string scheme = "WLCRC-16"; //!< factory codec name
     unsigned banks = 4;              //!< device shards / workers
-    uint64_t seed = 1;               //!< master seed (shardSeed per bank)
+    uint64_t seed = 1;               //!< master seed (one shard per bank)
     std::size_t queueCapacity = 1024; //!< per-bank ring capacity
     double s3 = 307.0;               //!< S3 SET energy override (pJ)
     double s4 = 547.0;               //!< S4 SET energy override (pJ)
@@ -71,12 +72,13 @@ struct ConnTicket
 /** One bank's telemetry row. */
 struct BankSnapshot
 {
-    uint64_t writes = 0;     //!< writes encoded so far
     std::size_t queueDepth = 0;
     uint64_t stalls = 0;     //!< backpressure events (full pushes)
     /** Per-cell wear CoV (if tracked), as of the bank's last
-     *  published write. */
+     *  published block. */
     double wearCov = 0.0;
+    /** As of the bank's last published block; replay.writes is the
+     *  bank's encoded write count. */
     trace::ReplayResult replay;
 };
 
@@ -137,19 +139,27 @@ class BankEngine
     std::vector<BankSnapshot> snapshot() const;
 
     /**
-     * Merged ReplayResult over all banks, folded in bank order —
-     * the same merge order the offline runner uses for shards, so
-     * the result is comparable field-for-field with a sharded
-     * offline replay of the captured stream. Only exact after
-     * stop(); beforehand it merges the live snapshots.
+     * The published per-bank snapshots merged in bank order — the
+     * merge order of the runner's shards. Live, it is as of each
+     * bank's last block; after stop() it is exact.
      */
     trace::ReplayResult mergedResult() const;
 
     /**
-     * Merged per-cell wear tracker (bank order), or nullopt when
-     * wear tracking is off. Call after stop().
+     * The exact result, folded by runner::mergeShards over the
+     * banks: spec() with lines = writes encoded, the merged replay
+     * and, when wear is tracked, the merged wear summary and
+     * projected lifetime. Call after stop(); it leaves the banks'
+     * trackers in place, so repeated calls agree.
      */
-    std::optional<pcm::WearTracker> mergedWear() const;
+    runner::ExperimentResult finalResult() const;
+
+    /**
+     * The runner spec the banks replay as: the scheme, seed, device
+     * knobs and banks as shards, workload "live". Its `lines` is not
+     * meaningful (finalResult() sets it).
+     */
+    const runner::ExperimentSpec &spec() const { return spec_; }
 
     unsigned banks() const { return static_cast<unsigned>(banks_.size()); }
     const EngineConfig &config() const { return cfg_; }
@@ -161,7 +171,7 @@ class BankEngine
         ConnTicket *ticket = nullptr;
     };
 
-    /** One bank: queue + worker + replay state + seqlock slot. */
+    /** One bank: queue + worker + replayer + seqlock slot. */
     struct Bank
     {
         explicit Bank(std::size_t queueCapacity)
@@ -170,24 +180,26 @@ class BankEngine
 
         BoundedQueue<Item> queue;
         std::unique_ptr<trace::Replayer> replayer;
-        std::optional<pcm::WearTracker> wear;
         std::thread worker;
 
-        // Seqlock: worker bumps seq to odd, copies result_ into
-        // snap, bumps to even. Readers retry on odd/changed epochs.
+        // Seqlock: worker bumps seq to odd, copies the replayer's
+        // result into snap, bumps to even. Readers retry on
+        // odd/changed epochs.
         std::atomic<uint64_t> seq{0};
         trace::ReplayResult snap;
-        std::atomic<uint64_t> writes{0};
         std::atomic<double> wearCov{0.0};
     };
 
-    void workerLoop(Bank &bank);
-    void publish(Bank &bank) const;
+    void workerLoop(Bank &bank, runner::ShardOutcome &outcome);
+    void publish(Bank &bank, const runner::ShardOutcome &outcome) const;
     trace::ReplayResult readSnap(const Bank &bank) const;
 
     EngineConfig cfg_;
-    coset::CodecPtr codec_;
-    pcm::WriteUnit unit_;
+    runner::ExperimentSpec spec_;
+    runner::ShardKit kit_;
+    /** Bank b's runner shard outcome: its wear tracker while it
+     *  runs, its exact replay once its worker has exited. */
+    std::vector<runner::ShardOutcome> outcomes_;
     std::vector<std::unique_ptr<Bank>> banks_;
     std::atomic<uint64_t> accepted_{0};
     std::atomic<uint64_t> encoded_{0};

@@ -5,10 +5,11 @@
  * the live service.
  *
  * The ring is preallocated at construction, so a steady-state
- * push/pop cycle performs no heap allocation. push() blocks while
- * the ring is full: a connection that outruns its bank's encode
- * stops reading its socket, the kernel receive window fills, and
- * TCP pushes back on the client — memory use stays bounded by
+ * push/popSome cycle performs no heap allocation; the consumer takes
+ * whatever is queued, up to a block, under one lock. push() blocks
+ * while the ring is full: a connection that outruns its bank's
+ * encode stops reading its socket, the kernel receive window fills,
+ * and TCP pushes back on the client — memory use stays bounded by
  * (capacity x item size) per bank no matter how fast clients send.
  * stallCount() counts pushes that had to wait, which telemetry
  * reports as the backpressure signal.
@@ -17,6 +18,7 @@
 #ifndef WLCRC_SERVE_QUEUE_HH
 #define WLCRC_SERVE_QUEUE_HH
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -61,26 +63,31 @@ class BoundedQueue
     }
 
     /**
-     * Dequeue into @p out, blocking while the queue is empty.
-     * @return false once close()d *and* drained — the consumer's
-     * termination signal; every pushed item is still delivered.
+     * Dequeue everything queued, up to @p max >= 1 items, into
+     * @p out in push order, blocking only while the queue is empty:
+     * it never waits for more items to arrive.
+     * @return the number taken; 0 once close()d *and* drained — the
+     * consumer's termination signal; every pushed item is still
+     * delivered.
      */
-    bool
-    pop(T &out)
+    std::size_t
+    popSome(T *out, std::size_t max)
     {
         std::unique_lock lock(mutex_);
         notEmpty_.wait(lock, [&] { return closed_ || size_ > 0; });
-        if (size_ == 0)
-            return false;
-        out = ring_[head_];
-        head_ = (head_ + 1) % ring_.size();
-        --size_;
+        const std::size_t n = std::min(size_, max);
+        for (std::size_t i = 0; i < n; ++i) {
+            out[i] = ring_[head_];
+            head_ = (head_ + 1) % ring_.size();
+        }
+        size_ -= n;
         lock.unlock();
-        notFull_.notify_one();
-        return true;
+        // Each freed slot can unblock a different producer.
+        notFull_.notify_all();
+        return n;
     }
 
-    /** Reject future pushes; pops drain what is already queued. */
+    /** Reject future pushes; popSome drains what is already queued. */
     void
     close()
     {

@@ -247,38 +247,14 @@ Server::shutdownAll()
     net_.shutdownConns(SHUT_RDWR);
     net_.join();
     engine_.stop();
+    stopTime_ = std::chrono::steady_clock::now();
     drained_ = true;
-}
-
-runner::ExperimentResult
-Server::resultShell() const
-{
-    runner::ExperimentResult res;
-    res.spec.scheme = cfg_.engine.scheme;
-    res.spec.workload = "live";
-    res.spec.seed = cfg_.engine.seed;
-    res.spec.shards = engine_.banks();
-    res.spec.lines = engine_.totalEncoded();
-    res.spec.device.s3 = cfg_.engine.s3;
-    res.spec.device.s4 = cfg_.engine.s4;
-    res.spec.device.vnr = cfg_.engine.vnr;
-    res.spec.device.wearEndurance = cfg_.engine.wearEndurance;
-    res.replay = engine_.mergedResult();
-    res.simdKernel = simd::kernelName(simd::activeKernel());
-    res.ok = true;
-    return res;
 }
 
 runner::ExperimentResult
 Server::finalResult() const
 {
-    runner::ExperimentResult res = resultShell();
-    if (auto wear = engine_.mergedWear()) {
-        res.wear = wear->summary();
-        res.projectedLifetime = wear->projectedLifetime(
-            cfg_.engine.wearEndurance, res.replay.writes);
-    }
-    return res;
+    return engine_.finalResult();
 }
 
 std::string
@@ -303,9 +279,12 @@ Server::snapshotJson(bool final) const
 {
     const auto banks = engine_.snapshot();
     const trace::ReplayResult merged = engine_.mergedResult();
+    // The final report covers the run up to the drain, so repeated
+    // calls print the same bytes.
     const double uptime =
         std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - startTime_)
+            (final ? stopTime_ : std::chrono::steady_clock::now()) -
+            startTime_)
             .count();
     const uint64_t encoded = engine_.totalEncoded();
 
@@ -334,7 +313,7 @@ Server::snapshotJson(bool final) const
     for (std::size_t b = 0; b < banks.size(); ++b) {
         const auto &s = banks[b];
         os << (b ? "," : "") << "{\"bank\":" << b
-           << ",\"writes\":" << s.writes
+           << ",\"writes\":" << s.replay.writes
            << ",\"queue_depth\":" << s.queueDepth
            << ",\"stalls\":" << s.stalls;
         if (cfg_.engine.wearEndurance)
@@ -391,11 +370,16 @@ Server::snapshotJson(bool final) const
     // Live snapshots never touch the wear trackers (the workers own
     // them); the per-bank wear_cov rows above carry the live signal
     // and the final report adds the exact merged wear block.
-    runner::ExperimentResult res =
-        final ? finalResult() : resultShell();
-    if (!final) {
-        res.replay = merged;
+    runner::ExperimentResult res;
+    if (final) {
+        res = finalResult();
+    } else {
+        res.spec = engine_.spec();
+        res.spec.lines = encoded;
         res.spec.device.wearEndurance = 0;
+        res.replay = merged;
+        res.simdKernel = simd::kernelName(simd::activeKernel());
+        res.ok = true;
     }
     os << ",\"result\":";
     runner::writeResultObject(os, res);

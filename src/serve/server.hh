@@ -119,11 +119,16 @@ class Server
     /**
      * Telemetry snapshot as JSON (docs/serve.md). Non-blocking with
      * respect to encode: built from seqlock snapshots and relaxed
-     * counters. @p final marks the post-drain exact report.
+     * counters. @p final marks the post-drain exact report (only
+     * valid after wait() returned; repeated calls agree byte for
+     * byte, its uptime ending at the drain).
      */
     std::string snapshotJson(bool final = false) const;
 
-    /** Exact merged result; only valid after wait() returned. */
+    /**
+     * Exact merged result (BankEngine::finalResult); only valid
+     * after wait() returned. Repeated calls agree.
+     */
     runner::ExperimentResult finalResult() const;
 
     /** Why the server stopped ("signal", "max-writes", ...). */
@@ -133,7 +138,6 @@ class Server
     uint64_t accepted() const { return engine_.totalAccepted(); }
 
   private:
-    runner::ExperimentResult resultShell() const;
     void runConnection(int fd);
     std::string connSummaryJson(const ConnState &conn) const;
     void shutdownAll();
@@ -141,6 +145,7 @@ class Server
     ServerConfig cfg_;
     BankEngine engine_;
     std::chrono::steady_clock::time_point startTime_;
+    std::chrono::steady_clock::time_point stopTime_; //!< end of drain
 
     mutable std::mutex connMutex_;
     std::vector<std::shared_ptr<ConnState>> conns_;

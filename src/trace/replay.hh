@@ -9,11 +9,13 @@
  *
  * The replayer owns one EncodeScratch and one TargetLine, so a
  * steady-state write performs no heap allocation. runBatch() is the
- * streaming entry the sharded runner uses: it gathers transactions
- * into fixed-size blocks and encodes each block's independent
- * (distinct-line) prefix through LineCodec::encodeBatch — one virtual
- * dispatch per block instead of per write, with identical results to
- * step()-ing every transaction in order.
+ * streaming entry the runner's sourced shards use: it gathers
+ * transactions into fixed-size blocks and encodes each block's
+ * independent (distinct-line) runs through LineCodec::encodeBatch —
+ * one virtual dispatch per run instead of per write, with identical
+ * results to step()-ing every transaction in order. pushBlock() is
+ * its push twin for callers that gather blocks themselves: the
+ * runner's synthesized fan-out and the live service's bank workers.
  */
 
 #ifndef WLCRC_TRACE_REPLAY_HH
@@ -117,7 +119,8 @@ class Replayer
      * Replay @p n <= batchLines transactions as one block: the push
      * twin of runBatch() for callers that gather blocks themselves
      * (the runner's fan-out routes one synthesized stream to several
-     * shard replayers). Results are identical to step()-ing them.
+     * shard replayers; a serve bank replays what its queue holds).
+     * Results are identical to step()-ing them.
      */
     void
     pushBlock(const WriteTransaction *txns, std::size_t n)

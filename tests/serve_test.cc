@@ -2,11 +2,14 @@
  * @file
  * Tests for the live write-stream service (src/serve):
  *
- *  - BoundedQueue semantics: blocking push (backpressure), close +
- *    drain delivery guarantee, stall accounting;
+ *  - BoundedQueue semantics: blocking push (backpressure), block
+ *    takes (popSome), close + drain delivery guarantee, stall
+ *    accounting;
  *  - BankEngine equivalence: the bank-sharded live encode reproduces
- *    an offline sharded Replayer merge bit for bit, and each bank's
- *    published wear CoV matches its tracker before stop();
+ *    an offline stepped sharded Replayer merge bit for bit, also
+ *    when every take is a full block with repeated lines and wear
+ *    is tracked, and each bank's published wear CoV matches its
+ *    tracker before stop();
  *  - allocation guard: the steady-state submit->encode path performs
  *    no heap allocation (global operator new instrumented);
  *  - protocol framing over a socketpair: clean EOF, bad magic,
@@ -29,6 +32,7 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,6 +50,7 @@
 #include "pcm/disturbance.hh"
 #include "pcm/energy_model.hh"
 #include "runner/json_mini.hh"
+#include "runner/report.hh"
 #include "runner/runner.hh"
 #include "serve/client.hh"
 #include "serve/engine.hh"
@@ -162,9 +167,9 @@ TEST(BoundedQueue, DeliversInOrder)
     EXPECT_TRUE(q.push(1));
     EXPECT_TRUE(q.push(2));
     int v = 0;
-    EXPECT_TRUE(q.pop(v));
+    EXPECT_EQ(q.popSome(&v, 1), 1u);
     EXPECT_EQ(v, 1);
-    EXPECT_TRUE(q.pop(v));
+    EXPECT_EQ(q.popSome(&v, 1), 1u);
     EXPECT_EQ(v, 2);
     EXPECT_EQ(q.depth(), 0u);
 }
@@ -198,7 +203,7 @@ TEST(BoundedQueue, FullPushBlocksUntilConsumerDrains)
     EXPECT_EQ(q.depth(), 2u);
 
     int v = 0;
-    EXPECT_TRUE(q.pop(v));
+    EXPECT_EQ(q.popSome(&v, 1), 1u);
     producer.join();
     EXPECT_TRUE(pushed.load());
     EXPECT_GE(q.stallCount(), 1u);
@@ -212,11 +217,88 @@ TEST(BoundedQueue, CloseDrainsQueuedItemsThenStops)
     q.close();
     EXPECT_FALSE(q.push(9)); // rejected after close
     int v = 0;
-    EXPECT_TRUE(q.pop(v)); // ...but queued items still deliver
+    EXPECT_EQ(q.popSome(&v, 1), 1u); // ...but queued items still deliver
     EXPECT_EQ(v, 7);
-    EXPECT_TRUE(q.pop(v));
+    EXPECT_EQ(q.popSome(&v, 1), 1u);
     EXPECT_EQ(v, 8);
-    EXPECT_FALSE(q.pop(v)); // closed + drained
+    EXPECT_EQ(q.popSome(&v, 1), 0u); // closed + drained
+}
+
+TEST(BoundedQueue, PopSomeTakesAtMostMax)
+{
+    serve::BoundedQueue<int> q(8);
+    for (int i = 1; i <= 5; ++i)
+        ASSERT_TRUE(q.push(i));
+    int out[8] = {};
+    ASSERT_EQ(q.popSome(out, 3), 3u);
+    EXPECT_EQ(out[0], 1);
+    EXPECT_EQ(out[1], 2);
+    EXPECT_EQ(out[2], 3);
+    EXPECT_EQ(out[3], 0); // untouched past the take
+    EXPECT_EQ(q.depth(), 2u);
+}
+
+TEST(BoundedQueue, PopSomeReturnsWhatIsQueuedWithoutWaitingForMax)
+{
+    serve::BoundedQueue<int> q(8);
+    ASSERT_TRUE(q.push(4));
+    ASSERT_TRUE(q.push(5));
+    // Nothing else will ever be pushed; a take that waited for max
+    // would hang here.
+    int out[32] = {};
+    ASSERT_EQ(q.popSome(out, 32), 2u);
+    EXPECT_EQ(out[0], 4);
+    EXPECT_EQ(out[1], 5);
+    EXPECT_EQ(q.depth(), 0u);
+}
+
+TEST(BoundedQueue, PopSomeOfSeveralWakesEveryBlockedProducer)
+{
+    serve::BoundedQueue<int> q(2);
+    ASSERT_TRUE(q.push(1));
+    ASSERT_TRUE(q.push(2));
+    std::atomic<int> pushed{0};
+    std::thread p1([&] {
+        EXPECT_TRUE(q.push(3));
+        pushed.fetch_add(1);
+    });
+    std::thread p2([&] {
+        EXPECT_TRUE(q.push(4));
+        pushed.fetch_add(1);
+    });
+    // Both producers count their stall before they wait.
+    for (int waited = 0; q.stallCount() < 2 && waited < 5000; ++waited)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(q.stallCount(), 2u);
+    EXPECT_EQ(pushed.load(), 0);
+
+    // One take frees both slots; a single wake-up would leave one
+    // producer blocked.
+    int out[2] = {};
+    EXPECT_EQ(q.popSome(out, 2), 2u);
+    for (int waited = 0; pushed.load() < 2 && waited < 5000; ++waited)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(pushed.load(), 2);
+    EXPECT_EQ(q.depth(), 2u);
+    q.close(); // frees a producer a lost wake-up left blocked
+    p1.join();
+    p2.join();
+}
+
+TEST(BoundedQueue, PopSomeDrainsAfterCloseThenReturnsZero)
+{
+    serve::BoundedQueue<int> q(8);
+    for (int i = 1; i <= 3; ++i)
+        ASSERT_TRUE(q.push(i));
+    q.close();
+    int out[8] = {};
+    ASSERT_EQ(q.popSome(out, 2), 2u);
+    EXPECT_EQ(out[0], 1);
+    EXPECT_EQ(out[1], 2);
+    ASSERT_EQ(q.popSome(out, 8), 1u);
+    EXPECT_EQ(out[0], 3);
+    EXPECT_EQ(q.popSome(out, 8), 0u);
+    EXPECT_EQ(q.popSome(out, 8), 0u); // stays drained
 }
 
 // --------------------------------------------------------- BankEngine
@@ -266,25 +348,98 @@ expectResultsIdentical(const trace::ReplayResult &a,
     EXPECT_EQ(a.auxEnergyPj.mean(), b.auxEnergyPj.mean());
 }
 
+/** Merge per-shard trackers in shard order, as the runner does. */
+pcm::WearTracker
+mergedTracker(const std::vector<pcm::WearTracker> &shards)
+{
+    pcm::WearTracker merged = shards.front();
+    for (std::size_t s = 1; s < shards.size(); ++s)
+        merged.merge(shards[s]);
+    return merged;
+}
+
 TEST(BankEngine, MatchesOfflineShardedReplayBitForBit)
 {
-    const auto txns = makeStream(400, 11);
-    serve::EngineConfig cfg;
-    cfg.scheme = "WLCRC-16";
-    cfg.banks = 3;
-    cfg.seed = 9;
-    serve::BankEngine engine(cfg);
-    engine.start();
-    serve::ConnTicket ticket;
-    for (const auto &t : txns)
-        ASSERT_TRUE(engine.submit(t, &ticket));
-    engine.stop();
-    EXPECT_EQ(engine.totalEncoded(), txns.size());
-    EXPECT_EQ(ticket.encoded.load(), txns.size());
+    struct Case
+    {
+        const char *name;
+        std::vector<trace::WriteTransaction> txns;
+        unsigned banks;
+        uint64_t seed;
+        uint64_t wearEndurance;
+        /** Submit everything before start(): each take is then a
+         *  full Replayer::batchLines block. */
+        bool preload;
+    };
+    // Folding 600 writes onto 97 lines repeats addresses inside the
+    // preloaded blocks, so the block path must split them.
+    auto folded = makeStream(600, 23);
+    for (auto &t : folded)
+        t.lineAddr %= 97;
+    const Case cases[] = {
+        {"streamed", makeStream(400, 11), 3, 9, 0, false},
+        {"preloaded-blocks-with-wear", folded, 2, 13, 1000000, true},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        if (c.preload) {
+            // The case must contain a block with a repeated line.
+            bool repeats = false;
+            std::vector<uint64_t> bank0;
+            for (const auto &t : c.txns)
+                if (runner::shardOf(t.lineAddr, c.banks) == 0)
+                    bank0.push_back(t.lineAddr);
+            for (std::size_t i = 0; i < bank0.size() && !repeats; ++i)
+                for (std::size_t j = i - i % trace::Replayer::batchLines;
+                     j < i && !repeats; ++j)
+                    repeats = bank0[j] == bank0[i];
+            ASSERT_TRUE(repeats);
+        }
+        serve::EngineConfig cfg;
+        cfg.scheme = "WLCRC-16";
+        cfg.banks = c.banks;
+        cfg.seed = c.seed;
+        cfg.wearEndurance = c.wearEndurance;
+        ASSERT_LE(c.txns.size(), cfg.queueCapacity);
+        serve::BankEngine engine(cfg);
+        if (!c.preload)
+            engine.start();
+        serve::ConnTicket ticket;
+        for (const auto &t : c.txns)
+            ASSERT_TRUE(engine.submit(t, &ticket));
+        engine.start(); // a no-op unless preloaded
+        engine.drainWait(ticket);
+        const auto snaps = engine.snapshot();
+        engine.stop();
+        EXPECT_EQ(engine.totalEncoded(), c.txns.size());
+        EXPECT_EQ(ticket.encoded.load(), c.txns.size());
 
-    const auto offline =
-        offlineShardedReplay(txns, "WLCRC-16", 9, 3);
-    expectResultsIdentical(engine.mergedResult(), offline);
+        std::vector<pcm::WearTracker> wear;
+        const auto offline = offlineShardedReplay(
+            c.txns, cfg.scheme, c.seed, c.banks,
+            c.wearEndurance ? &wear : nullptr);
+        expectResultsIdentical(engine.mergedResult(), offline);
+        const auto final = engine.finalResult();
+        ASSERT_TRUE(final.ok);
+        expectResultsIdentical(final.replay, offline);
+        if (!c.wearEndurance)
+            continue;
+        ASSERT_EQ(snaps.size(), c.banks);
+        for (unsigned b = 0; b < c.banks; ++b)
+            EXPECT_EQ(snaps[b].wearCov, wear[b].summary().covCellWrites)
+                << "bank " << b;
+        const auto merged = mergedTracker(wear);
+        const auto want = merged.summary();
+        EXPECT_GT(want.totalWrites, 0u);
+        EXPECT_EQ(final.wear.maxCellWrites, want.maxCellWrites);
+        EXPECT_EQ(final.wear.avgCellWrites, want.avgCellWrites);
+        EXPECT_EQ(final.wear.touchedCells, want.touchedCells);
+        EXPECT_EQ(final.wear.totalWrites, want.totalWrites);
+        EXPECT_EQ(final.wear.covCellWrites, want.covCellWrites);
+        EXPECT_EQ(final.projectedLifetime,
+                  merged.projectedLifetime(c.wearEndurance,
+                                           offline.writes));
+    }
 }
 
 TEST(BankEngine, SnapshotsConvergeToExactResult)
@@ -584,6 +739,45 @@ TEST(Server, HelloWriteAckStatsByeRoundTrip)
     EXPECT_EQ(report.at("encoded").asU64(), 100u);
     EXPECT_TRUE(report.at("result").at("ok").asBool());
     EXPECT_EQ(report.at("result").at("writes").asU64(), 100u);
+}
+
+TEST(Server, FinalReportRepeatsByteForByte)
+{
+    serve::ServerConfig cfg;
+    cfg.engine.banks = 2;
+    cfg.engine.seed = 6;
+    cfg.engine.wearEndurance = 1000000;
+    serve::Server server(cfg);
+    server.start();
+
+    const auto txns = makeStream(300, 19);
+    serve::Client client;
+    client.connect("127.0.0.1", server.port());
+    client.hello(1);
+    client.sendWrites(txns.data(), txns.size(), true);
+    EXPECT_EQ(client.readAck(), txns.size());
+    (void)client.bye();
+    server.requestStop();
+    server.wait();
+
+    // Folding the banks' wear must leave their trackers in place.
+    const auto resultJson = [&] {
+        std::ostringstream os;
+        runner::writeResultObject(os, server.finalResult());
+        return os.str();
+    };
+    const std::string first = resultJson();
+    EXPECT_EQ(resultJson(), first);
+    const std::string report = server.snapshotJson(true);
+    EXPECT_EQ(server.snapshotJson(true), report);
+
+    const auto res = server.finalResult();
+    EXPECT_EQ(res.replay.writes, txns.size());
+    EXPECT_GT(res.wear.totalWrites, 0u);
+    EXPECT_GT(res.wear.touchedCells, 0u);
+    EXPECT_GT(res.projectedLifetime, 0u);
+    const auto parsed = runner::parseJson(report);
+    EXPECT_GT(parsed.at("result").at("total_cell_writes").asU64(), 0u);
 }
 
 TEST(Server, WriteWithoutHelloIsRejectedByName)
