@@ -234,6 +234,23 @@ benchMain(const std::function<int()> &body)
     }
 }
 
+/**
+ * The benches read their knobs from the environment alone.
+ * @return 0 if argv holds only the program name, else 2 (the
+ *         usage-error status) after a "<bench>: <reason>" line.
+ */
+inline int
+rejectArguments(int argc, char **argv)
+{
+    if (argc <= 1)
+        return 0;
+    std::fprintf(stderr,
+                 "%s: unexpected argument '%s' (a bench takes no "
+                 "arguments; set the WLCRC_BENCH_* knobs instead)\n",
+                 argv[0], argv[1]);
+    return 2;
+}
+
 /** Print the standard bench banner. */
 inline void
 banner(const std::string &figure, const std::string &what)

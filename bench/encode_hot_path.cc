@@ -1,34 +1,26 @@
 /**
  * @file
- * Hot-path microbenchmark and the repo's tracked perf baseline: full
- * replay throughput (encode + differential program + disturbance) of
- * every Figure 8 scheme over one synthesized "gcc" write stream,
- * driven through Replayer::runBatch exactly like the sharded runner.
+ * Hot-path microbenchmark: full replay throughput (encode +
+ * differential program + disturbance) of every Figure 8 scheme over
+ * one synthesized "gcc" write stream, driven through
+ * Replayer::runBatch exactly like the sharded runner.
  *
  * Output: a CSV whose deterministic columns (mean energy / updated
  * cells) are pinned by the golden suite while the wall-clock columns
- * are masked, plus an optional machine-readable report:
+ * are masked. `writes_per_sec` is the best of three passes under the
+ * active SIMD kernel; `speedup` divides it by the same scheme's
+ * writes/s under the scalar kernel, timed in this process right
+ * after it (1 when the active kernel is scalar). The ratio is taken
+ * on one machine in one run, so it measures the vector kernels, not
+ * the host. Throughput across commits is gated by perfbench under
+ * scripts/perf_gate.sh, not by this bench.
  *
- *   WLCRC_BENCH_JSON_OUT=BENCH_encode.json  write the JSON report
- *   WLCRC_BENCH_BASELINE=<csv>   baseline override (default: the
- *       checked-in bench/baselines/encode_hot_path.baseline.csv,
- *       captured on the pre-refactor tree)
- *   WLCRC_BENCH_CHECK=0.75       exit non-zero if any scheme's
- *       writes/sec falls below this fraction of its baseline (the
- *       CI perf-smoke gate; baselines are machine-specific, so the
- *       gate only makes sense against a baseline captured on the
- *       same class of machine)
- *
- * Refresh the checked-in baseline after an intended perf change:
- *   WLCRC_BENCH_LINES=20000 ./bench_encode_hot_path \
- *       --update-baseline [path]
+ * The bench takes no arguments; WLCRC_BENCH_LINES sets the stream
+ * length.
  */
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <map>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -46,60 +38,42 @@ namespace
 
 using namespace wlcrc;
 
-struct SchemeRow
+struct Pass
 {
-    std::string scheme;
+    double writesPerSec = 0;
     double meanEnergyPj = 0;
     double meanUpdated = 0;
-    double writesPerSec = 0;
-    double baselineWps = 0; //!< 0 = no baseline entry
 };
 
-/** scheme -> writes/sec from a baseline CSV ('#' comments allowed). */
-std::map<std::string, double>
-readBaseline(const std::string &path)
+/** Best of @p passes replays of @p txns through @p codec. */
+Pass
+timeReplay(const coset::LineCodec &codec, const pcm::WriteUnit &unit,
+           const std::vector<trace::WriteTransaction> &txns,
+           unsigned passes)
 {
-    std::map<std::string, double> out;
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#' ||
-            line.rfind("scheme,", 0) == 0)
-            continue;
-        const auto comma = line.find(',');
-        if (comma == std::string::npos)
-            continue;
-        out[line.substr(0, comma)] =
-            std::strtod(line.c_str() + comma + 1, nullptr);
+    Pass out;
+    double best_ns = 1e300;
+    for (unsigned p = 0; p < passes; ++p) {
+        trace::Replayer rep(codec, unit, 7);
+        std::size_t at = 0;
+        const auto start = std::chrono::steady_clock::now();
+        // The runner's shard-loop entry: blocks of transactions
+        // through LineCodec::encodeBatch.
+        rep.runBatch([&](trace::WriteTransaction &slot) {
+            if (at >= txns.size())
+                return false;
+            slot = txns[at++];
+            return true;
+        });
+        const double ns = std::chrono::duration<double, std::nano>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+        best_ns = std::min(best_ns, ns);
+        out.meanEnergyPj = rep.result().energyPj.mean();
+        out.meanUpdated = rep.result().updatedCells.mean();
     }
+    out.writesPerSec = txns.empty() ? 0 : 1e9 * txns.size() / best_ns;
     return out;
-}
-
-void
-writeJson(const std::string &path, uint64_t lines, unsigned passes,
-          const std::vector<SchemeRow> &rows)
-{
-    std::ofstream out(path);
-    out << "{\n"
-        << "  \"bench\": \"encode_hot_path\",\n"
-        << "  \"simd\": \""
-        << simd::kernelName(simd::activeKernel()) << "\",\n"
-        << "  \"lines\": " << lines << ",\n"
-        << "  \"passes\": " << passes << ",\n"
-        << "  \"schemes\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const SchemeRow &r = rows[i];
-        out << "    {\"scheme\": \"" << r.scheme
-            << "\", \"writes_per_sec\": " << r.writesPerSec
-            << ", \"baseline_writes_per_sec\": " << r.baselineWps
-            << ", \"speedup\": "
-            << (r.baselineWps > 0 ? r.writesPerSec / r.baselineWps
-                                  : 0.0)
-            << ", \"mean_energy_pj\": " << r.meanEnergyPj
-            << ", \"mean_updated\": " << r.meanUpdated << "}"
-            << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
 }
 
 } // namespace
@@ -109,21 +83,11 @@ main(int argc, char **argv)
 {
     namespace wb = wlcrc::bench;
 
-    return wb::benchMain([argc, argv] {
+    if (const int rc = wb::rejectArguments(argc, argv))
+        return rc;
+    return wb::benchMain([] {
         const uint64_t lines = wb::linesPerWorkload();
         const unsigned passes = 3;
-
-        bool update_baseline = false;
-        std::string baseline_path = WLCRC_ENCODE_BASELINE;
-        for (int a = 1; a < argc; ++a) {
-            const std::string arg = argv[a];
-            if (arg == "--update-baseline")
-                update_baseline = true;
-            else
-                baseline_path = arg;
-        }
-        if (const char *env = std::getenv("WLCRC_BENCH_BASELINE"))
-            baseline_path = env;
 
         trace::TraceSynthesizer synth(
             trace::WorkloadProfile::byName("gcc"), 2718);
@@ -134,95 +98,33 @@ main(int argc, char **argv)
 
         const pcm::EnergyModel energy;
         const pcm::WriteUnit unit{energy, pcm::DisturbanceModel()};
-        const auto baseline = readBaseline(baseline_path);
-
-        std::vector<SchemeRow> rows;
-        for (const auto &name : core::figure8Schemes()) {
-            const auto codec = core::makeCodec(name, energy);
-            SchemeRow row;
-            row.scheme = name;
-            double best_ns = 1e300;
-            for (unsigned p = 0; p < passes; ++p) {
-                trace::Replayer rep(*codec, unit, 7);
-                std::size_t at = 0;
-                const auto start =
-                    std::chrono::steady_clock::now();
-                // The runner's shard-loop entry: blocks of
-                // transactions through LineCodec::encodeBatch.
-                rep.runBatch([&](trace::WriteTransaction &slot) {
-                    if (at >= txns.size())
-                        return false;
-                    slot = txns[at++];
-                    return true;
-                });
-                const double ns =
-                    std::chrono::duration<double, std::nano>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-                best_ns = std::min(best_ns, ns);
-                row.meanEnergyPj = rep.result().energyPj.mean();
-                row.meanUpdated = rep.result().updatedCells.mean();
-            }
-            row.writesPerSec =
-                txns.empty() ? 0 : 1e9 * txns.size() / best_ns;
-            if (const auto it = baseline.find(name);
-                it != baseline.end())
-                row.baselineWps = it->second;
-            rows.push_back(row);
-        }
+        const simd::Kernel active = simd::activeKernel();
 
         CsvTable table({"scheme", "lines", "mean_energy_pj",
                         "mean_updated", "writes_per_sec",
                         "speedup"});
-        for (const SchemeRow &r : rows) {
-            table.addRow(r.scheme, txns.size(), r.meanEnergyPj,
-                         r.meanUpdated, r.writesPerSec,
-                         r.baselineWps > 0
-                             ? r.writesPerSec / r.baselineWps
-                             : 0.0);
+        for (const auto &name : core::figure8Schemes()) {
+            const auto codec = core::makeCodec(name, energy);
+            const Pass run = timeReplay(*codec, unit, txns, passes);
+            double speedup = 1;
+            if (active != simd::Kernel::Scalar) {
+                simd::setKernel(simd::Kernel::Scalar);
+                const Pass scalar =
+                    timeReplay(*codec, unit, txns, passes);
+                simd::setKernel(active);
+                if (scalar.meanEnergyPj != run.meanEnergyPj ||
+                    scalar.meanUpdated != run.meanUpdated)
+                    throw std::runtime_error(
+                        name + ": " + simd::kernelName(active) +
+                        " and scalar replays diverged");
+                speedup = scalar.writesPerSec > 0
+                              ? run.writesPerSec / scalar.writesPerSec
+                              : 0.0;
+            }
+            table.addRow(name, txns.size(), run.meanEnergyPj,
+                         run.meanUpdated, run.writesPerSec, speedup);
         }
         table.write(std::cout);
-
-        if (update_baseline) {
-            std::ofstream out(baseline_path);
-            out << "# Replay throughput baseline for "
-                   "bench/encode_hot_path (best of "
-                << passes << " passes, WLCRC_BENCH_LINES=" << lines
-                << ", simd=" << simd::kernelName(simd::activeKernel())
-                << ").\n# Machine-specific; capture under "
-                   "WLCRC_SIMD=scalar (see docs/simd.md) with:\n"
-                   "#   WLCRC_SIMD=scalar WLCRC_BENCH_LINES="
-                << lines
-                << " ./bench_encode_hot_path --update-baseline\n"
-                << "scheme,writes_per_sec\n";
-            for (const SchemeRow &r : rows)
-                out << r.scheme << "," << r.writesPerSec << "\n";
-            std::fprintf(stderr, "baseline written to %s\n",
-                         baseline_path.c_str());
-        }
-
-        if (const char *json = std::getenv("WLCRC_BENCH_JSON_OUT"))
-            writeJson(json, lines, passes, rows);
-
-        if (const char *check = std::getenv("WLCRC_BENCH_CHECK")) {
-            const double floor_frac = std::strtod(check, nullptr);
-            int failures = 0;
-            for (const SchemeRow &r : rows) {
-                if (r.baselineWps <= 0)
-                    continue;
-                if (r.writesPerSec < floor_frac * r.baselineWps) {
-                    std::fprintf(
-                        stderr,
-                        "PERF REGRESSION: %s at %.0f writes/s < "
-                        "%.0f%% of baseline %.0f\n",
-                        r.scheme.c_str(), r.writesPerSec,
-                        100 * floor_frac, r.baselineWps);
-                    ++failures;
-                }
-            }
-            if (failures)
-                return 1;
-        }
         return 0;
     });
 }

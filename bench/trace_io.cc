@@ -1,10 +1,9 @@
 /**
  * @file
- * Trace-store I/O benchmark and the container subsystem's tracked
- * perf baseline: compression ratio, block decode bandwidth, cold
- * replay throughput with synchronous vs decode-ahead block staging,
- * and the index-pruning win of range-sharded replay over a sorted
- * corpus.
+ * Trace-store I/O benchmark: compression ratio, block decode
+ * bandwidth, cold replay throughput with synchronous vs decode-ahead
+ * block staging, and the index-pruning win of range-sharded replay
+ * over a sorted corpus.
  *
  * Corpus: one low-write-intensity synthesized stream (libq — the
  * suite's most compressible profile) written four ways: WLCTRC02,
@@ -12,22 +11,19 @@
  * order (what `wlcrc_trace sort` produces; same-line records become
  * adjacent, which is where the LZ codec earns its keep).
  *
- * Knobs (on top of the usual WLCRC_BENCH_* set):
- *   WLCRC_BENCH_TRACE_LINES  corpus writes (default 120000)
- *   WLCRC_BENCH_JSON_OUT     write the BENCH_trace.json report
- *   WLCRC_BENCH_BASELINE     baseline CSV override (default: the
- *       checked-in bench/baselines/trace_io.baseline.csv)
- *   WLCRC_BENCH_CHECK=0.75   exit non-zero if decode MB/s or replay
- *       writes/s falls below this fraction of its baseline entry
- *       (machine-specific, like the encode_hot_path gate)
- *   WLCRC_TRACE_RATIO_FLOOR  minimum sorted-corpus compression
- *       ratio (default 5.0; deterministic, so always enforced)
- *   WLCRC_TRACE_AHEAD_FLOOR  when set, minimum decode-ahead replay
- *       speedup over synchronous decode; needs >= 2 cores to mean
- *       anything, so it is skipped (with a note) on 1-cpu machines
+ * Gates (exit 1): the sorted corpus must compress at least 5x and
+ * range-sharded replay must visit fewer blocks than modulo replay of
+ * the unsorted one. Both are deterministic, so they hold on any
+ * machine. Throughput is only reported: across commits, it is gated
+ * by perfbench's trace-replay workload under scripts/perf_gate.sh.
  *
- * Refresh the checked-in baseline after an intended perf change:
- *   ./bench_trace_io --update-baseline [path]
+ * Knobs (on top of the usual WLCRC_BENCH_* set; the bench takes no
+ * arguments):
+ *   WLCRC_BENCH_TRACE_LINES  corpus writes (default 120000)
+ *   WLCRC_TRACE_AHEAD_FLOOR  when set, minimum decode-ahead replay
+ *       speedup over synchronous decode, a same-run ratio; needs
+ *       >= 2 cores to mean anything, so it is skipped (with a note)
+ *       on 1-cpu machines
  */
 
 #include <algorithm>
@@ -35,8 +31,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -160,25 +154,6 @@ blocksVisitedSharded(const tracefile::TransactionSource &source,
     return visited;
 }
 
-std::map<std::string, double>
-readBaseline(const std::string &path)
-{
-    std::map<std::string, double> out;
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#' ||
-            line.rfind("metric,", 0) == 0)
-            continue;
-        const auto comma = line.find(',');
-        if (comma == std::string::npos)
-            continue;
-        out[line.substr(0, comma)] =
-            std::strtod(line.c_str() + comma + 1, nullptr);
-    }
-    return out;
-}
-
 } // namespace
 
 int
@@ -186,7 +161,9 @@ main(int argc, char **argv)
 {
     namespace wb = wlcrc::bench;
 
-    return wb::benchMain([argc, argv] {
+    if (const int rc = wb::rejectArguments(argc, argv))
+        return rc;
+    return wb::benchMain([] {
         const uint64_t lines =
             envU64("WLCRC_BENCH_TRACE_LINES", 120000);
         const unsigned passes = 3;
@@ -194,18 +171,8 @@ main(int argc, char **argv)
         const unsigned aheadDepth = static_cast<unsigned>(
             envU64("WLCRC_DECODE_AHEAD", 4));
         const unsigned cpus = std::thread::hardware_concurrency();
-
-        bool update_baseline = false;
-        std::string baseline_path = WLCRC_TRACE_BASELINE;
-        for (int a = 1; a < argc; ++a) {
-            const std::string arg = argv[a];
-            if (arg == "--update-baseline")
-                update_baseline = true;
-            else
-                baseline_path = arg;
-        }
-        if (const char *env = std::getenv("WLCRC_BENCH_BASELINE"))
-            baseline_path = env;
+        const double aheadFloor =
+            envDouble("WLCRC_TRACE_AHEAD_FLOOR", 0);
 
         // Corpus: arrival order + a locality-sorted copy
         // (stable by line address — what `wlcrc_trace sort` emits).
@@ -294,56 +261,10 @@ main(int argc, char **argv)
         table.addRow("blocks_visited_range_sorted", rangeVisited);
         table.write(std::cout);
 
-        if (update_baseline) {
-            std::ofstream out(baseline_path);
-            out << "# Trace I/O throughput baseline for "
-                   "bench/trace_io (best of "
-                << passes
-                << " passes, WLCRC_BENCH_TRACE_LINES=" << lines
-                << ", cpus=" << cpus
-                << ").\n# Machine-specific; refresh with:\n"
-                   "#   ./bench_trace_io --update-baseline\n"
-                << "metric,value\n"
-                << "decode_mb_per_sec," << decodeMbs << "\n"
-                << "replay_sync_writes_per_sec," << syncWps << "\n";
-            std::fprintf(stderr, "baseline written to %s\n",
-                         baseline_path.c_str());
-        }
-
-        if (const char *json =
-                std::getenv("WLCRC_BENCH_JSON_OUT")) {
-            std::ofstream out(json);
-            out << "{\n"
-                << "  \"bench\": \"trace_io\",\n"
-                << "  \"lines\": " << lines << ",\n"
-                << "  \"raw_mb\": " << rawMb << ",\n"
-                << "  \"cpus\": " << cpus << ",\n"
-                << "  \"shards\": " << shards << ",\n"
-                << "  \"decode_ahead\": " << aheadDepth << ",\n"
-                << "  \"compression_ratio_unsorted\": "
-                << ratioUnsorted << ",\n"
-                << "  \"compression_ratio_sorted\": " << ratioSorted
-                << ",\n"
-                << "  \"decode_mb_per_sec\": " << decodeMbs << ",\n"
-                << "  \"replay_sync_writes_per_sec\": " << syncWps
-                << ",\n"
-                << "  \"replay_ahead_writes_per_sec\": " << aheadWps
-                << ",\n"
-                << "  \"decode_ahead_speedup\": " << speedup
-                << ",\n"
-                << "  \"sharded_blocks_total\": " << blocks << ",\n"
-                << "  \"blocks_visited_modulo_unsorted\": "
-                << moduloVisited << ",\n"
-                << "  \"blocks_visited_range_sorted\": "
-                << rangeVisited << "\n"
-                << "}\n";
-        }
-
         int failures = 0;
         // The compression floor is deterministic (same synthesizer,
         // same codec, any machine), so it is always enforced.
-        const double ratioFloor =
-            envDouble("WLCRC_TRACE_RATIO_FLOOR", 5.0);
+        const double ratioFloor = 5.0;
         if (ratioSorted < ratioFloor) {
             std::fprintf(stderr,
                          "COMPRESSION REGRESSION: sorted corpus "
@@ -364,44 +285,21 @@ main(int argc, char **argv)
                              moduloVisited));
             ++failures;
         }
-        if (const char *floor =
-                std::getenv("WLCRC_TRACE_AHEAD_FLOOR")) {
-            const double f = std::strtod(floor, nullptr);
+        if (aheadFloor > 0) {
             if (cpus < 2) {
                 std::fprintf(
                     stderr,
                     "note: decode-ahead floor %.2fx skipped — "
                     "overlap needs >= 2 cpus, this machine has "
                     "%u\n",
-                    f, cpus);
-            } else if (speedup < f) {
+                    aheadFloor, cpus);
+            } else if (speedup < aheadFloor) {
                 std::fprintf(stderr,
                              "DECODE-AHEAD REGRESSION: speedup "
                              "%.2fx < floor %.2fx\n",
-                             speedup, f);
+                             speedup, aheadFloor);
                 ++failures;
             }
-        }
-        if (const char *check =
-                std::getenv("WLCRC_BENCH_CHECK")) {
-            const double frac = std::strtod(check, nullptr);
-            const auto baseline = readBaseline(baseline_path);
-            const auto gate = [&](const char *metric,
-                                  double value) {
-                const auto it = baseline.find(metric);
-                if (it == baseline.end() || it->second <= 0)
-                    return;
-                if (value < frac * it->second) {
-                    std::fprintf(stderr,
-                                 "PERF REGRESSION: %s at %.1f < "
-                                 "%.0f%% of baseline %.1f\n",
-                                 metric, value, 100 * frac,
-                                 it->second);
-                    ++failures;
-                }
-            };
-            gate("decode_mb_per_sec", decodeMbs);
-            gate("replay_sync_writes_per_sec", syncWps);
         }
         return failures ? 1 : 0;
     });

@@ -12,12 +12,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/csv.hh"
+#include "common/parse.hh"
 #include "pcm/disturbance.hh"
 #include "trace/replay.hh"
 #include "trace/workload.hh"
@@ -51,23 +51,15 @@ main(int argc, char **argv)
     uint64_t lines = 5000;
     uint64_t seed = 42;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--workload" && i + 1 < argc) {
-            workload = argv[++i];
-        } else if (arg == "--lines" && i + 1 < argc) {
-            lines = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--seed" && i + 1 < argc) {
-            seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--help") {
-            std::printf("usage: %s [scheme ...] [--workload name] "
-                        "[--lines N] [--seed S]\n",
-                        argv[0]);
-            return 0;
-        } else {
-            schemes.push_back(arg);
-        }
-    }
+    CommandLine cli("energy_explorer",
+                    "usage: energy_explorer [scheme ...] "
+                    "[--workload name] [--lines N] [--seed S]\n");
+    cli.text("--workload", workload)
+        .uint("--lines", lines)
+        .uint("--seed", seed)
+        .positionals(schemes);
+    if (const auto rc = cli.parse(argc, argv))
+        return *rc;
     if (schemes.empty())
         schemes = core::figure8Schemes();
 

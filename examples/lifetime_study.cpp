@@ -14,8 +14,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <string>
+#include <vector>
 
+#include "common/parse.hh"
 #include "memsys/system.hh"
 #include "pcm/write_unit.hh"
 #include "trace/replay.hh"
@@ -27,9 +29,20 @@ main(int argc, char **argv)
 {
     using namespace wlcrc;
 
-    const std::string workload = argc > 1 ? argv[1] : "milc";
-    const uint64_t accesses =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 50000;
+    std::vector<std::string> args;
+    std::string workload = "milc";
+    uint64_t accesses = 50000;
+    CommandLine cli("lifetime_study",
+                    "usage: lifetime_study [workload] [accesses]\n");
+    cli.positionals(args);
+    if (const auto rc = cli.parse(argc, argv, [&] {
+            usageCheck(args.size() <= 2, "too many arguments");
+            if (args.size() > 0)
+                workload = args[0];
+            if (args.size() > 1)
+                accesses = parseU64(args[1], "accesses");
+        }))
+        return *rc;
 
     const pcm::SystemConfig cfg;
     const pcm::EnergyModel energy;

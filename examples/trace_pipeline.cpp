@@ -17,10 +17,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <string>
+#include <vector>
 
+#include "common/parse.hh"
 #include "runner/grid.hh"
 #include "runner/report.hh"
 #include "runner/runner.hh"
@@ -34,14 +36,26 @@ main(int argc, char **argv)
 {
     using namespace wlcrc;
 
-    const std::string workload = argc > 1 ? argv[1] : "gcc";
-    const uint64_t lines =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 10000;
-    const std::string path =
-        argc > 3 ? argv[3]
-                 : (std::filesystem::temp_directory_path() /
-                    "wlcrc_pipeline.trc")
-                       .string();
+    std::vector<std::string> args;
+    std::string workload = "gcc";
+    uint64_t lines = 10000;
+    std::string path = (std::filesystem::temp_directory_path() /
+                        "wlcrc_pipeline.trc")
+                           .string();
+    CommandLine cli("trace_pipeline",
+                    "usage: trace_pipeline [workload] [lines] "
+                    "[/path.trc]\n");
+    cli.positionals(args);
+    if (const auto rc = cli.parse(argc, argv, [&] {
+            usageCheck(args.size() <= 3, "too many arguments");
+            if (args.size() > 0)
+                workload = args[0];
+            if (args.size() > 1)
+                lines = parseU64(args[1], "lines");
+            if (args.size() > 2)
+                path = args[2];
+        }))
+        return *rc;
 
     try {
         // Step 1: synthesize and persist as a WLCTRC02 container.

@@ -19,6 +19,12 @@
  * into array indexing. encodeBatch() encodes a block of independent
  * (distinct-line) writes per virtual dispatch, which is how the
  * sharded replay drives codecs.
+ *
+ * No codec overrides encodeBatch(), yet the block path pays: the
+ * replayer primes a block's lines, then encodes them all, then
+ * programs them all, and that measured 4-8% more perfbench writes/s
+ * than one step() per write (numbers in trace/replay.hh). Keep the
+ * block path when simplifying the replay loop.
  */
 
 #ifndef WLCRC_COSET_CODEC_HH
@@ -116,7 +122,9 @@ class LineCodec
     /**
      * Encode a block of independent writes. The default loops over
      * encodeInto(); hot codecs may override to amortise per-call
-     * setup across a shard's block of transactions.
+     * setup across a shard's block of transactions. None does today,
+     * and the block order still pays (see the file comment): do not
+     * fold it back into per-write step() calls.
      */
     virtual void encodeBatch(const EncodeJob *jobs, std::size_t count,
                              EncodeScratch &scratch) const;

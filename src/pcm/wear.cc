@@ -17,6 +17,39 @@ WearSummary::imbalance() const
                : 0.0;
 }
 
+WearTracker::WearTracker(WearTracker &&o) noexcept
+    : cellsPerLine_(o.cellsPerLine_), wear_(std::move(o.wear_)),
+      touched_(o.touched_), total_(o.total_), max_(o.max_),
+      sumSquares_(o.sumSquares_)
+{
+    o.clear();
+}
+
+WearTracker &
+WearTracker::operator=(WearTracker &&o) noexcept
+{
+    if (this != &o) {
+        cellsPerLine_ = o.cellsPerLine_;
+        wear_ = std::move(o.wear_);
+        touched_ = o.touched_;
+        total_ = o.total_;
+        max_ = o.max_;
+        sumSquares_ = o.sumSquares_;
+        o.clear();
+    }
+    return *this;
+}
+
+void
+WearTracker::clear()
+{
+    wear_.clear();
+    touched_ = 0;
+    total_ = 0;
+    max_ = 0;
+    sumSquares_ = 0;
+}
+
 std::vector<uint32_t> &
 WearTracker::lineFor(uint64_t addr)
 {

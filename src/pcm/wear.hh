@@ -49,6 +49,17 @@ class WearTracker
         : cellsPerLine_(cells_per_line)
     {}
 
+    WearTracker(const WearTracker &) = default;
+    WearTracker &operator=(const WearTracker &) = default;
+
+    /**
+     * Moves leave @p o an empty tracker of the same line width: its
+     * running totals go with its lines, so summary() never reports
+     * wear the tracker no longer holds.
+     */
+    WearTracker(WearTracker &&o) noexcept;
+    WearTracker &operator=(WearTracker &&o) noexcept;
+
     /** Record that cell @p cell of line @p addr was programmed. */
     void recordProgram(uint64_t addr, unsigned cell);
 
@@ -120,6 +131,9 @@ class WearTracker
 
     /** Count one program of a cell whose count is @p w. */
     void bump(uint32_t &w);
+
+    /** Drop every line and zero the running totals. */
+    void clear();
 
     unsigned cellsPerLine_;
     std::unordered_map<uint64_t, std::vector<uint32_t>> wear_;

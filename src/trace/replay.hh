@@ -16,6 +16,14 @@
  * results to step()-ing every transaction in order. pushBlock() is
  * its push twin for callers that gather blocks themselves: the
  * runner's synthesized fan-out and the live service's bank workers.
+ *
+ * The block path pays although no codec overrides encodeBatch: a
+ * block primes its lines, encodes them and programs them in three
+ * passes instead of interleaving the three per write. Replacing
+ * replayBlock() with one step() per write measured synth-sweep
+ * writes/s 8.2% lower and serve-capture 4.2% lower (perfbench, 4
+ * alternating pairs of 8 s each on a 4-vCPU Xeon VM, slower in every
+ * pair). Do not delete it as dead weight.
  */
 
 #ifndef WLCRC_TRACE_REPLAY_HH

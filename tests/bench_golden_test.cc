@@ -253,6 +253,23 @@ TEST_P(bench_golden, SerialBackendMatchesGolden)
         << " output depends on the execution backend";
 }
 
+// The two benches that once took arguments read their knobs from the
+// environment alone now: a flag or a path is a usage error, never
+// silently ignored or taken for a file to write.
+TEST(BenchArgs, TimingBenchesRejectAnyArgument)
+{
+    for (const char *name : {"encode_hot_path", "trace_io"}) {
+        const std::string bin =
+            std::string(WLCRC_BENCH_DIR) + "/bench_" + name;
+        for (const char *arg : {"--lines 10", "x"}) {
+            EXPECT_EQ(wlcrc::test::exitCodeOf(bin + " " + arg +
+                                              " 2>/dev/null"),
+                      2)
+                << name << " " << arg;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Figures, bench_golden, ::testing::ValuesIn(kBenches),
     [](const ::testing::TestParamInfo<BenchCase> &info) {

@@ -273,8 +273,9 @@ TEST(Coc, RoundTripAcrossLineTypes)
             static_cast<LineType>(rng.nextBelow(trace::numLineTypes));
         const Line512 line = ValueModel::generateLine(type, rng);
         const auto s = coc.compress(line);
-        if (s)
+        if (s) {
             EXPECT_EQ(coc.decompress(*s), line);
+        }
     }
 }
 

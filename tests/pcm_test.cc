@@ -422,6 +422,48 @@ TEST(WearTracker, MergeMatchesSingleTrackerOracle)
     EXPECT_EQ(sa.covCellWrites, so.covCellWrites);
 }
 
+TEST(WearTracker, MovedFromTrackerReportsNoWear)
+{
+    const auto expectEmpty = [](const pcm::WearTracker &t) {
+        const auto s = t.summary();
+        EXPECT_EQ(s.touchedCells, 0u);
+        EXPECT_EQ(s.totalWrites, 0u);
+        EXPECT_EQ(s.maxCellWrites, 0u);
+        EXPECT_EQ(s.avgCellWrites, 0.0);
+        EXPECT_EQ(s.covCellWrites, 0.0);
+        EXPECT_EQ(t.trackedLines(), 0u);
+        EXPECT_TRUE(t.histogram().empty());
+        EXPECT_EQ(t.projectedLifetime(100, 10), 0u);
+        EXPECT_EQ(t.cellsPerLine(), 4u);
+    };
+    pcm::WearTracker src(4);
+    for (int i = 0; i < 30; ++i)
+        src.recordProgram(i % 5, i % 3);
+    const pcm::WearTracker copy = src;
+    const auto want = copy.summary();
+
+    pcm::WearTracker built(std::move(src));
+    expectEmpty(src);
+    EXPECT_EQ(built.summary().totalWrites, want.totalWrites);
+    EXPECT_EQ(built.summary().touchedCells, want.touchedCells);
+    EXPECT_EQ(built.summary().maxCellWrites, want.maxCellWrites);
+    EXPECT_EQ(built.trackedLines(), copy.trackedLines());
+
+    pcm::WearTracker assigned(4);
+    assigned.recordProgram(99, 1);
+    assigned = std::move(built);
+    expectEmpty(built);
+    EXPECT_EQ(assigned.summary().totalWrites, want.totalWrites);
+    EXPECT_EQ(assigned.summary().covCellWrites, want.covCellWrites);
+    EXPECT_EQ(assigned.cellWrites(99, 1), 0u);
+
+    // A moved-from tracker is an empty one: it records and merges
+    // from zero again.
+    built.merge(copy);
+    EXPECT_EQ(built.summary().totalWrites, want.totalWrites);
+    EXPECT_EQ(built.summary().touchedCells, want.touchedCells);
+}
+
 /** Per-line cell counts kept beside a tracker under test. */
 using WearModel = std::map<uint64_t, std::vector<uint64_t>>;
 

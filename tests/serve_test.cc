@@ -65,80 +65,8 @@
 #include "trace/workload.hh"
 #include "wlcrc/factory.hh"
 
+#include "alloc_counter.hh"
 #include "subprocess.hh"
-
-// ---------------------------------------------------------------
-// Global operator new/delete instrumentation (same pattern as
-// encode_equivalence_test). Only the delta inside a measured region
-// matters; gtest's own allocations happen outside.
-namespace
-{
-std::atomic<uint64_t> g_allocCount{0};
-}
-
-void *
-operator new(std::size_t size)
-{
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(size);
-}
-
-void *
-operator new[](std::size_t size, const std::nothrow_t &) noexcept
-{
-    return ::operator new(size, std::nothrow);
-}
-
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
 
 namespace
 {

@@ -154,8 +154,9 @@ TEST(TraceSynthesizer, OldNewChaining)
     for (int i = 0; i < 3000; ++i) {
         const auto txn = synth.next();
         const auto it = image.find(txn.lineAddr);
-        if (it != image.end())
+        if (it != image.end()) {
             ASSERT_EQ(txn.oldData, it->second) << "write " << i;
+        }
         image[txn.lineAddr] = txn.newData;
     }
 }

@@ -1147,8 +1147,9 @@ replayCsv(const std::shared_ptr<const TransactionSource> &source,
         .shards(shards)
         .partition(partition)
         .seed(21);
-    const auto results =
-        runner::ExperimentRunner({jobs, nullptr}).run(grid);
+    runner::RunnerOptions opts;
+    opts.jobs = jobs;
+    const auto results = runner::ExperimentRunner(opts).run(grid);
     for (const auto &r : results) {
         EXPECT_TRUE(r.ok) << r.error;
     }
@@ -1343,8 +1344,9 @@ TEST(MixedSynthesizer, DeterministicDisjointWindowsAndCoherent)
         inFirstWindow += ta.lineAddr < gccFootprint;
         // Coherent image across the blend: old == last new.
         const auto it = image.find(ta.lineAddr);
-        if (it != image.end())
+        if (it != image.end()) {
             ASSERT_EQ(ta.oldData, it->second) << "write " << i;
+        }
         image[ta.lineAddr] = ta.newData;
     }
     EXPECT_EQ(a.baseOf(0), 0u);

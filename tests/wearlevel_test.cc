@@ -443,8 +443,9 @@ TEST(WearTrackerTest, ShardedMergeEqualsSingleShardReplay)
         const auto *w1 = one->lineWear(addr);
         const auto *w4 = four->lineWear(addr);
         ASSERT_EQ(w1 == nullptr, w4 == nullptr) << addr;
-        if (w1)
+        if (w1) {
             EXPECT_EQ(*w1, *w4) << "line " << addr;
+        }
     }
 }
 
