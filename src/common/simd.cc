@@ -1,30 +1,107 @@
 #include "simd.hh"
 
+#include <bit>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 namespace wlcrc::simd
 {
+
+// The SWAR census reads 8 cells per 64-bit load, byte k at bits 8k.
+static_assert(std::endian::native == std::endian::little);
 
 namespace
 {
 
 // ------------------------------------------------- scalar reference
 
-void
-scalarByteDiffMask(const uint8_t *a, const uint8_t *b, unsigned n,
-                   uint64_t *mask)
+/** Bit k of the result = bit 8k of @p x (x has no other bits set). */
+inline uint64_t
+gatherByteBits(uint64_t x)
 {
+    // Byte k's bit lands at 8k + (56 - 7k) = 56 + k. Every other
+    // partial product lands on its own bit below 56 or past 63, so
+    // no carry reaches the top byte.
+    return (x * 0x0102040810204080ull) >> 56;
+}
+
+/** Difference mask and target-state bit planes of 64 cells. */
+struct WordPlanes
+{
+    uint64_t diff = 0; //!< bit i: a[i] != b[i]
+    uint64_t p0 = 0;   //!< bit i: bit 0 of b[i]
+    uint64_t p1 = 0;   //!< bit i: bit 1 of b[i]
+};
+
+WordPlanes
+scanWord(const uint8_t *a, const uint8_t *b)
+{
+    constexpr uint64_t ones = 0x0101010101010101ull;
+    constexpr uint64_t low7 = 0x7f7f7f7f7f7f7f7full;
+    WordPlanes r;
+    for (unsigned k = 0; k < 8; ++k) {
+        uint64_t x;
+        uint64_t y;
+        std::memcpy(&x, a + 8 * k, 8);
+        std::memcpy(&y, b + 8 * k, 8);
+        const uint64_t d = x ^ y;
+        // Bit 7 of each byte of `nz` is set iff that byte of d is
+        // nonzero.
+        const uint64_t nz = ((d & low7) + low7) | d;
+        r.diff |= gatherByteBits((nz >> 7) & ones) << (8 * k);
+        r.p0 |= gatherByteBits(y & ones) << (8 * k);
+        r.p1 |= gatherByteBits((y >> 1) & ones) << (8 * k);
+    }
+    return r;
+}
+
+} // namespace
+
+namespace detail
+{
+
+void
+scalarProgramCensus(const uint8_t *stored, const uint8_t *target,
+                    const uint64_t *auxWords, unsigned n,
+                    uint64_t *diff, uint32_t counts[2][4])
+{
+    uint32_t c[2][4] = {};
+    uint8_t padA[64];
+    uint8_t padB[64];
     const unsigned nw = (n + 63) / 64;
     for (unsigned w = 0; w < nw; ++w) {
         const unsigned base = w * 64;
-        const unsigned lim = n - base < 64 ? n - base : 64;
-        uint64_t m = 0;
-        for (unsigned i = 0; i < lim; ++i)
-            m |= uint64_t{a[base + i] != b[base + i]} << i;
-        mask[w] = m;
+        const uint8_t *a = stored + base;
+        const uint8_t *b = target + base;
+        if (n - base < 64) {
+            // Zero both tails: padding cells never differ.
+            std::memset(padA, 0, sizeof padA);
+            std::memset(padB, 0, sizeof padB);
+            std::memcpy(padA, a, n - base);
+            std::memcpy(padB, b, n - base);
+            a = padA;
+            b = padB;
+        }
+        const WordPlanes pl = scanWord(a, b);
+        diff[w] = pl.diff;
+        if (!pl.diff)
+            continue;
+        const uint64_t s[4] = {~pl.p1 & ~pl.p0, ~pl.p1 & pl.p0,
+                               pl.p1 & ~pl.p0, pl.p1 & pl.p0};
+        const uint64_t side[2] = {pl.diff & ~auxWords[w],
+                                  pl.diff & auxWords[w]};
+        for (unsigned x = 0; x < 2; ++x)
+            for (unsigned t = 0; t < 4; ++t)
+                c[x][t] += popcount64(side[x] & s[t]);
     }
+    std::memcpy(counts, c, sizeof c);
 }
+
+} // namespace detail
+
+namespace
+{
 
 void
 scalarMapSymbols(uint64_t word, const uint8_t *map4, unsigned lo,
@@ -79,15 +156,18 @@ scalarMapBlocks(uint64_t word, const uint8_t *const *tables,
         scalarMapSymbols(word, tables[b], lo[b], hi[b], out);
 }
 
-constexpr Ops scalarOps = {scalarByteDiffMask, scalarMapSymbols,
-                           scalarAccumRows4, scalarAccumRows8,
-                           scalarAccumBlocks4, scalarMapBlocks};
+constexpr Ops scalarOps = {detail::scalarProgramCensus,
+                           scalarMapSymbols, scalarAccumRows4,
+                           scalarAccumRows8, scalarAccumBlocks4,
+                           scalarMapBlocks};
 
 bool
 cpuHasAvx2()
 {
 #if defined(__x86_64__) || defined(_M_X64)
-    return __builtin_cpu_supports("avx2");
+    // simd_avx2.cc is also built with -mpopcnt.
+    return __builtin_cpu_supports("avx2") &&
+           __builtin_cpu_supports("popcnt");
 #else
     return false;
 #endif

@@ -4,7 +4,8 @@
  *
  * Three inner loops dominate LineCodec::encodeInto and the
  * differential write (see docs/simd.md):
- *  - the word-wise differential scan (which cells changed),
+ *  - the differential-write census (which cells changed, and how
+ *    many of them go to each target state),
  *  - per-candidate symbol mapping (2-bit symbols -> cell states),
  *  - cost-row candidate scoring (per-cell 4/8-lane double adds).
  *
@@ -47,12 +48,21 @@ inline constexpr unsigned numKernels = 3;
 struct Ops
 {
     /**
-     * Byte-difference mask: set bit i of @p mask (i < @p n) iff
-     * a[i] != b[i]. Writes exactly (n + 63) / 64 words; bits past
-     * @p n in the last word are zero.
+     * Differential-write census over one line of @p n cells.
+     *
+     * Difference mask: set bit i of @p diff (i < @p n) iff
+     * stored[i] != target[i]. Writes exactly (n + 63) / 64 words;
+     * bits past @p n in the last word are zero.
+     *
+     * Counts: counts[a][s] = the number of differing cells i with
+     * target[i] == s whose aux bit (bit i % 64 of auxWords[i / 64])
+     * is a. All eight counts are written. Every target byte must be
+     * a cell state (0..3); @p auxWords holds (n + 63) / 64 words,
+     * and its bits past @p n are ignored.
      */
-    void (*byteDiffMask)(const uint8_t *a, const uint8_t *b,
-                         unsigned n, uint64_t *mask);
+    void (*programCensus)(const uint8_t *stored, const uint8_t *target,
+                          const uint64_t *auxWords, unsigned n,
+                          uint64_t *diff, uint32_t counts[2][4]);
 
     /**
      * Symbol mapping over one 64-bit word: for each cell c in
@@ -111,6 +121,23 @@ struct Ops
                       unsigned nblocks, uint8_t *out);
 };
 
+/**
+ * Population count that never becomes a libgcc call. The baseline
+ * build has no -mpopcnt, so std::popcount compiles to a call to
+ * __popcountdi2; this SWAR form inlines to a dozen ALU ops. It is
+ * not specialised per ISA (an inline function needs one definition
+ * in every translation unit), so simd_avx2.cc calls popcnt itself.
+ */
+inline unsigned
+popcount64(uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555ull;
+    x = (x & 0x3333333333333333ull) +
+        ((x >> 2) & 0x3333333333333333ull);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    return static_cast<unsigned>((x * 0x0101010101010101ull) >> 56);
+}
+
 /** Display name ("scalar", "avx2", "neon"). */
 const char *kernelName(Kernel k);
 
@@ -149,6 +176,11 @@ const Ops &opsFor(Kernel k);
 
 namespace detail
 {
+/** The scalar census (kernels without their own point at it). */
+void scalarProgramCensus(const uint8_t *stored, const uint8_t *target,
+                         const uint64_t *auxWords, unsigned n,
+                         uint64_t *diff, uint32_t counts[2][4]);
+
 /** Active table; null until first resolution. */
 extern std::atomic<const Ops *> activeOps;
 const Ops &resolveActiveOps();

@@ -1,11 +1,11 @@
 /**
  * @file
  * AVX2 implementations of the simd.hh kernels. This translation unit
- * is compiled with -mavx2 on x86-64 (see CMakeLists.txt) while the
- * rest of the library stays at the baseline ISA; dispatch guarantees
- * the functions here only run on CPUs reporting AVX2.
+ * is compiled with -mavx2 -mpopcnt on x86-64 (see CMakeLists.txt)
+ * while the rest of the library stays at the baseline ISA; dispatch
+ * guarantees the functions here only run on CPUs reporting both.
  *
- * Bit-identity: mapSymbolsAvx2/byteDiffMaskAvx2 are pure integer
+ * Bit-identity: mapSymbolsAvx2/programCensusAvx2 are pure integer
  * transforms; accumRows4/8 add the same doubles in the same cell
  * order as the scalar reference (vaddpd is four independent per-lane
  * adds), so every kernel reproduces the scalar results exactly.
@@ -24,37 +24,68 @@ namespace wlcrc::simd
 namespace
 {
 
-void
-byteDiffMaskAvx2(const uint8_t *a, const uint8_t *b, unsigned n,
-                 uint64_t *mask)
+/** Bit i = the top bit of byte i of the 64 bytes (lo, hi). */
+inline uint64_t
+byteSigns(__m256i lo, __m256i hi)
 {
+    const auto l = static_cast<uint32_t>(_mm256_movemask_epi8(lo));
+    const auto h = static_cast<uint32_t>(_mm256_movemask_epi8(hi));
+    return uint64_t{l} | (uint64_t{h} << 32);
+}
+
+void
+programCensusAvx2(const uint8_t *stored, const uint8_t *target,
+                  const uint64_t *auxWords, unsigned n, uint64_t *diff,
+                  uint32_t counts[2][4])
+{
+    uint32_t c[2][4] = {};
+    uint8_t padA[64];
+    uint8_t padB[64];
     const unsigned nw = (n + 63) / 64;
     for (unsigned w = 0; w < nw; ++w) {
         const unsigned base = w * 64;
-        uint64_t m;
-        if (base + 64 <= n) {
-            const __m256i eq0 = _mm256_cmpeq_epi8(
-                _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(a + base)),
-                _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(b + base)));
-            const __m256i eq1 = _mm256_cmpeq_epi8(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                    a + base + 32)),
-                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                    b + base + 32)));
-            const auto lo = static_cast<uint32_t>(
-                _mm256_movemask_epi8(eq0));
-            const auto hi = static_cast<uint32_t>(
-                _mm256_movemask_epi8(eq1));
-            m = ~(uint64_t{lo} | (uint64_t{hi} << 32));
-        } else {
-            m = 0;
-            for (unsigned i = base; i < n; ++i)
-                m |= uint64_t{a[i] != b[i]} << (i - base);
+        const uint8_t *a = stored + base;
+        const uint8_t *b = target + base;
+        if (n - base < 64) {
+            // Zero both tails: padding cells never differ.
+            std::memset(padA, 0, sizeof padA);
+            std::memset(padB, 0, sizeof padB);
+            std::memcpy(padA, a, n - base);
+            std::memcpy(padB, b, n - base);
+            a = padA;
+            b = padB;
         }
-        mask[w] = m;
+        const __m256i b0 =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b));
+        const __m256i b1 = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(b + 32));
+        const uint64_t d = ~byteSigns(
+            _mm256_cmpeq_epi8(
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(a)),
+                b0),
+            _mm256_cmpeq_epi8(
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(a + 32)),
+                b1));
+        diff[w] = d;
+        if (!d)
+            continue;
+        // A 16-bit shift by 7 (6) moves bit 0 (1) of every byte to
+        // that byte's top bit; bits shifted in from the byte below
+        // never reach it.
+        const uint64_t p0 = byteSigns(_mm256_slli_epi16(b0, 7),
+                                      _mm256_slli_epi16(b1, 7));
+        const uint64_t p1 = byteSigns(_mm256_slli_epi16(b0, 6),
+                                      _mm256_slli_epi16(b1, 6));
+        const uint64_t s[4] = {~p1 & ~p0, ~p1 & p0, p1 & ~p0, p1 & p0};
+        const uint64_t side[2] = {d & ~auxWords[w], d & auxWords[w]};
+        for (unsigned x = 0; x < 2; ++x)
+            for (unsigned t = 0; t < 4; ++t)
+                c[x][t] += static_cast<uint32_t>(
+                    _mm_popcnt_u64(side[x] & s[t]));
     }
+    std::memcpy(counts, c, sizeof c);
 }
 
 /** All 32 symbols of @p word as one byte-per-symbol vector (0..3). */
@@ -212,7 +243,7 @@ mapBlocksAvx2(uint64_t word, const uint8_t *const *tables,
     }
 }
 
-constexpr Ops avx2Ops = {byteDiffMaskAvx2, mapSymbolsAvx2,
+constexpr Ops avx2Ops = {programCensusAvx2, mapSymbolsAvx2,
                          accumRows4Avx2, accumRows8Avx2,
                          accumBlocks4Avx2, mapBlocksAvx2};
 

@@ -22,42 +22,6 @@ namespace wlcrc::simd
 namespace
 {
 
-/** 1 bit per byte of @p ne (0x00/0xff per-byte mask), LSB = byte 0. */
-inline uint16_t
-moveMask16(uint8x16_t ne)
-{
-    const uint8x16_t powers = {1, 2, 4, 8, 16, 32, 64, 128,
-                               1, 2, 4, 8, 16, 32, 64, 128};
-    const uint8x16_t bits = vandq_u8(ne, powers);
-    const auto lo = static_cast<uint16_t>(vaddv_u8(vget_low_u8(bits)));
-    const auto hi =
-        static_cast<uint16_t>(vaddv_u8(vget_high_u8(bits)));
-    return static_cast<uint16_t>(lo | (hi << 8));
-}
-
-void
-byteDiffMaskNeon(const uint8_t *a, const uint8_t *b, unsigned n,
-                 uint64_t *mask)
-{
-    const unsigned nw = (n + 63) / 64;
-    for (unsigned w = 0; w < nw; ++w) {
-        const unsigned base = w * 64;
-        uint64_t m = 0;
-        if (base + 64 <= n) {
-            for (unsigned k = 0; k < 4; ++k) {
-                const uint8x16_t ne = vmvnq_u8(
-                    vceqq_u8(vld1q_u8(a + base + 16 * k),
-                             vld1q_u8(b + base + 16 * k)));
-                m |= uint64_t{moveMask16(ne)} << (16 * k);
-            }
-        } else {
-            for (unsigned i = base; i < n; ++i)
-                m |= uint64_t{a[i] != b[i]} << (i - base);
-        }
-        mask[w] = m;
-    }
-}
-
 /** Symbols 16h..16h+15 of @p word as one byte-per-symbol vector. */
 inline uint8x16_t
 symbolsHalf(uint64_t word, unsigned h)
@@ -177,7 +141,8 @@ mapBlocksNeon(uint64_t word, const uint8_t *const *tables,
     std::memcpy(out + a, tmp + a, z - a + 1);
 }
 
-constexpr Ops neonOps = {byteDiffMaskNeon, mapSymbolsNeon,
+// The census has no NEON kernel: it runs the scalar SWAR one.
+constexpr Ops neonOps = {detail::scalarProgramCensus, mapSymbolsNeon,
                          accumRows4Neon, accumRows8Neon,
                          accumBlocks4Neon, mapBlocksNeon};
 

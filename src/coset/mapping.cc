@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace wlcrc::coset
@@ -113,9 +115,9 @@ sixCosetCandidates()
                         }
                     }
                 }
-                built.emplace_back(best,
-                                   "W" + std::to_string(built.size() +
-                                                        1));
+                std::string name = "W";
+                name += std::to_string(built.size() + 1);
+                built.emplace_back(best, std::move(name));
             }
         }
         assert(built.size() == 6);

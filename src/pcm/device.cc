@@ -49,7 +49,7 @@ Device::writeLine(uint64_t addr, std::vector<State> &stored,
                   const TargetLine &target, bool verify_n_restore)
 {
     assert(target.size() == cellsPerLine_);
-    assert(&stored == &line(addr));
+    assert(tryLine(addr) == &stored);
     CellMask updated;
     const WriteStats st =
         unit_.program(stored, target, rng_, verify_n_restore,

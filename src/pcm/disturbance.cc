@@ -5,6 +5,8 @@
 
 #include <cassert>
 
+#include "common/simd.hh"
+
 namespace wlcrc::pcm
 {
 
@@ -94,7 +96,7 @@ DisturbanceModel::sample(const State *cells, std::size_t n,
         for (unsigned k = 0; k < m; ++k)
             hits |= static_cast<uint64_t>((draw[k] >> 11) < limit[k])
                     << bit[k];
-        errors += static_cast<unsigned>(std::popcount(hits));
+        errors += simd::popcount64(hits);
         if (disturbed)
             disturbed->rawWords()[w] = hits;
     }

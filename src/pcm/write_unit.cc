@@ -1,9 +1,10 @@
 #include "write_unit.hh"
 
+#include <algorithm>
 #include <bit>
-#include <cstddef>
-
 #include <cassert>
+#include <cmath>
+#include <cstddef>
 
 #include "common/simd.hh"
 
@@ -26,24 +27,71 @@ WriteStats::operator+=(const WriteStats &o)
 namespace
 {
 
-/** Program differing cells and charge energy/updates to data or aux. */
+/** Per-word aux flags of @p target (TargetLine::auxWord). */
+struct AuxWords
+{
+    explicit AuxWords(const TargetLine &target)
+    {
+        const unsigned nw = (target.size() + 63) / 64;
+        for (unsigned w = 0; w < nw; ++w)
+            words[w] = target.auxWord(w);
+    }
+    uint64_t words[maxLineCells / 64] = {};
+};
+
+/** True iff sums of up to maxLineCells of @p e are exact doubles. */
+bool
+exactlySummable(const std::array<double, numStates> &e)
+{
+    // An integer |E| <= 2^43 times at most 768 < 2^10 cells stays
+    // below 2^53, so every partial sum, in any order, and every
+    // count * E product is an exactly representable integer.
+    constexpr double limit = 8796093022208.0; // 2^43
+    for (const double v : e)
+        if (!(std::fabs(v) <= limit) || v != std::trunc(v))
+            return false;
+    return true;
+}
+
+/**
+ * Program the cells of @p stored that differ from @p target and
+ * charge their energy and update count to data or aux.
+ *
+ * The energy of a write is the sum of programEnergy(target state)
+ * over the programmed cells. The golden results pin that sum as
+ * added in ascending cell order. When every state energy is an
+ * integer of at most 2^43 (Table II, Figure 14 and every integer
+ * --s3/--s4: @p countable), that sum is exact in any order, so one
+ * census kernel counts the programmed cells per (data|aux, target
+ * state), the line is copied over whole (equal cells stay equal),
+ * and the energy is eight multiply-adds: the same double, bit for
+ * bit. Any other model keeps the ascending per-cell loop.
+ */
 void
 applyDifferential(std::vector<State> &stored, const TargetLine &target,
-                  const EnergyModel &energy, WriteStats &st,
-                  CellMask &updated)
+                  const AuxWords &aux,
+                  const std::array<double, numStates> &stateEnergy,
+                  bool countable, WriteStats &st, CellMask &updated)
 {
     assert(stored.size() == target.size());
     const unsigned n = static_cast<unsigned>(stored.size());
     updated.reset(n);
-    // Word-wise differential scan through the SIMD shim: one
-    // cell-difference bitmask per line, then per-cell work only for
-    // genuinely differing cells, in ascending cell order (the energy
-    // accumulation order the golden results pin down).
     State *cur = stored.data();
     const State *tgt = target.states();
-    simd::ops().byteDiffMask(reinterpret_cast<const uint8_t *>(cur),
-                             reinterpret_cast<const uint8_t *>(tgt),
-                             n, updated.rawWords());
+    uint32_t counts[2][numStates];
+    simd::ops().programCensus(reinterpret_cast<const uint8_t *>(cur),
+                              reinterpret_cast<const uint8_t *>(tgt),
+                              aux.words, n, updated.rawWords(), counts);
+    if (countable) {
+        std::copy_n(tgt, n, cur);
+        for (unsigned s = 0; s < numStates; ++s) {
+            st.dataEnergyPj += counts[0][s] * stateEnergy[s];
+            st.auxEnergyPj += counts[1][s] * stateEnergy[s];
+            st.dataUpdated += counts[0][s];
+            st.auxUpdated += counts[1][s];
+        }
+        return;
+    }
     for (unsigned w = 0; w < updated.words(); ++w) {
         uint64_t diff = updated.word(w);
         while (diff) {
@@ -51,8 +99,8 @@ applyDifferential(std::vector<State> &stored, const TargetLine &target,
                 w * 64 +
                 static_cast<unsigned>(std::countr_zero(diff));
             diff &= diff - 1;
-            const double e = energy.programEnergy(tgt[i]);
-            if (target.aux(i)) {
+            const double e = stateEnergy[stateIndex(tgt[i])];
+            if ((aux.words[w] >> (i & 63)) & 1) {
                 st.auxEnergyPj += e;
                 ++st.auxUpdated;
             } else {
@@ -66,6 +114,15 @@ applyDifferential(std::vector<State> &stored, const TargetLine &target,
 
 } // namespace
 
+WriteUnit::WriteUnit(const EnergyModel &energy,
+                     const DisturbanceModel &disturb)
+    : energy_(energy), disturb_(disturb)
+{
+    for (unsigned s = 0; s < numStates; ++s)
+        stateEnergy_[s] = energy_.programEnergy(stateFromIndex(s));
+    countable_ = exactlySummable(stateEnergy_);
+}
+
 WriteStats
 WriteUnit::program(std::vector<State> &stored, const TargetLine &target,
                    Rng &rng, bool verify_n_restore,
@@ -74,25 +131,18 @@ WriteUnit::program(std::vector<State> &stored, const TargetLine &target,
     WriteStats st;
     CellMask local;
     CellMask &updated = updatedOut ? *updatedOut : local;
-    applyDifferential(stored, target, energy_, st, updated);
+    const AuxWords aux(target);
+    applyDifferential(stored, target, aux, stateEnergy_, countable_, st,
+                      updated);
 
     // First-pass disturbance: this is what the paper's figures count.
     CellMask disturbed;
     unsigned errors = disturb_.sample(stored.data(), stored.size(),
                                       updated, rng, &disturbed);
-    for (unsigned w = 0; w < disturbed.words(); ++w) {
-        uint64_t bits = disturbed.word(w);
-        while (bits) {
-            const unsigned i =
-                w * 64 +
-                static_cast<unsigned>(std::countr_zero(bits));
-            bits &= bits - 1;
-            if (target.aux(i))
-                ++st.auxDisturbed;
-            else
-                ++st.dataDisturbed;
-        }
-    }
+    for (unsigned w = 0; w < disturbed.words(); ++w)
+        st.auxDisturbed +=
+            simd::popcount64(disturbed.word(w) & aux.words[w]);
+    st.dataDisturbed = errors - st.auxDisturbed;
     st.vnrIterations = errors ? 1 : 0;
 
     if (!verify_n_restore) {
@@ -120,7 +170,8 @@ WriteUnit::programExpected(std::vector<State> &stored,
 {
     WriteStats st;
     CellMask updated;
-    applyDifferential(stored, target, energy_, st, updated);
+    applyDifferential(stored, target, AuxWords(target), stateEnergy_,
+                      countable_, st, updated);
     // Expectation is reported as a rounded count on the (unsplit)
     // data side; callers needing the exact value use the model
     // directly. Keep full precision available via the return value's

@@ -85,6 +85,21 @@ class TargetLine
                ((auxBits_[i >> 6] >> (i & 63)) & 1);
     }
 
+    /**
+     * aux() of cells 64w..64w+63 as one word (bit j = cell 64w + j):
+     * the embedded aux bits OR'd with the tail from auxStart(). Bits
+     * past size() are unspecified.
+     */
+    uint64_t
+    auxWord(unsigned w) const
+    {
+        const unsigned base = w * 64;
+        if (auxStart_ >= base + 64)
+            return auxBits_[w];
+        const unsigned from = auxStart_ > base ? auxStart_ - base : 0;
+        return auxBits_[w] | (~uint64_t{0} << from);
+    }
+
     const State *states() const { return cells_.data(); }
     /** Writable cell storage (SIMD symbol-mapping kernels). */
     State *states() { return cells_.data(); }
@@ -141,9 +156,7 @@ struct WriteStats
 class WriteUnit
 {
   public:
-    WriteUnit(const EnergyModel &energy, const DisturbanceModel &disturb)
-        : energy_(energy), disturb_(disturb)
-    {}
+    WriteUnit(const EnergyModel &energy, const DisturbanceModel &disturb);
 
     /**
      * Program @p stored toward @p target with differential write.
@@ -184,6 +197,14 @@ class WriteUnit
   private:
     EnergyModel energy_;
     DisturbanceModel disturb_;
+    /** programEnergy(s) per state, as the census path multiplies them. */
+    std::array<double, numStates> stateEnergy_{};
+    /**
+     * Every stateEnergy_ is an integer with |E| <= 2^43, so a line's
+     * energy sum is exact in any order and the census path applies
+     * (see applyDifferential).
+     */
+    bool countable_ = false;
 };
 
 } // namespace wlcrc::pcm

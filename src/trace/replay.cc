@@ -91,14 +91,13 @@ Replayer::replayIndependent(const WriteTransaction *txns,
     // pointers: unordered_map guarantees reference stability across
     // inserts, and the block's lines are distinct, so encoding jobs
     // against pre-write states equals encoding them one at a time.
-    std::array<coset::LineCodec::EncodeJob, batchLines> jobs;
     std::array<std::vector<pcm::State> *, batchLines> lines;
     for (std::size_t i = 0; i < count; ++i) {
         auto &stored = primedLine(txns[i]);
         lines[i] = &stored;
-        jobs[i] = {&txns[i].newData, stored.data(), &targets_[i]};
+        jobs_[i] = {&txns[i].newData, stored.data(), &targets_[i]};
     }
-    codec_.encodeBatch(jobs.data(), count, scratch_);
+    codec_.encodeBatch(jobs_.data(), count, scratch_);
     for (std::size_t i = 0; i < count; ++i)
         applyWrite(txns[i], targets_[i], *lines[i]);
 }

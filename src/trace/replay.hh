@@ -29,6 +29,7 @@
 #ifndef WLCRC_TRACE_REPLAY_HH
 #define WLCRC_TRACE_REPLAY_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -160,6 +161,9 @@ class Replayer
     pcm::TargetLine staging_;
     std::vector<WriteTransaction> batch_;
     std::vector<pcm::TargetLine> targets_;
+    /** replayIndependent's encode jobs (a member, so no block pays
+     *  to initialise them). */
+    std::array<coset::LineCodec::EncodeJob, batchLines> jobs_{};
 };
 
 } // namespace wlcrc::trace

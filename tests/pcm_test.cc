@@ -12,9 +12,11 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/simd.hh"
 #include "pcm/cell.hh"
 #include "pcm/config.hh"
 #include "pcm/device.hh"
@@ -345,6 +347,168 @@ TEST(WriteUnit, VnrConverges)
     // Paper: VnR removes all disturbances within 3-5 iterations.
     EXPECT_GE(st.vnrIterations, 1u);
     EXPECT_LE(st.vnrIterations, 12u);
+}
+
+/**
+ * The ascending per-cell differential write WriteUnit ran before its
+ * census path, kept as the reference: each differing cell, in cell
+ * order, adds its programEnergy to data or aux; the first-pass
+ * disturbances are split cell by cell. @p rng null = programExpected.
+ */
+pcm::WriteStats
+ascendingCellProgram(const WriteUnit &unit, std::vector<State> &stored,
+                     const TargetLine &target, Rng *rng, bool vnr,
+                     pcm::CellMask &updated)
+{
+    const auto n = static_cast<unsigned>(stored.size());
+    pcm::WriteStats st;
+    updated.reset(n);
+    for (unsigned i = 0; i < n; ++i) {
+        if (stored[i] == target[i])
+            continue;
+        updated.set(i);
+        const double e = unit.energyModel().programEnergy(target[i]);
+        if (target.aux(i)) {
+            st.auxEnergyPj += e;
+            ++st.auxUpdated;
+        } else {
+            st.dataEnergyPj += e;
+            ++st.dataUpdated;
+        }
+        stored[i] = target[i];
+    }
+    const DisturbanceModel &disturb = unit.disturbanceModel();
+    if (!rng) {
+        st.dataDisturbed = static_cast<unsigned>(
+            disturb.expected(stored.data(), n, updated) + 0.5);
+        return st;
+    }
+    pcm::CellMask disturbed;
+    unsigned errors =
+        disturb.sample(stored.data(), n, updated, *rng, &disturbed);
+    for (unsigned i = 0; i < n; ++i)
+        if (disturbed.test(i))
+            ++(target.aux(i) ? st.auxDisturbed : st.dataDisturbed);
+    st.vnrIterations = errors ? 1 : 0;
+    while (vnr && errors) {
+        ++st.vnrIterations;
+        const pcm::CellMask repairing = disturbed;
+        errors = disturb.sample(stored.data(), n, repairing, *rng,
+                                &disturbed);
+    }
+    return st;
+}
+
+void
+expectSameWrite(const pcm::WriteStats &got, const pcm::WriteStats &want,
+                const std::string &where)
+{
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.dataEnergyPj),
+              std::bit_cast<uint64_t>(want.dataEnergyPj))
+        << where << " data energy " << got.dataEnergyPj << " vs "
+        << want.dataEnergyPj;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.auxEnergyPj),
+              std::bit_cast<uint64_t>(want.auxEnergyPj))
+        << where << " aux energy " << got.auxEnergyPj << " vs "
+        << want.auxEnergyPj;
+    EXPECT_EQ(got.dataUpdated, want.dataUpdated) << where;
+    EXPECT_EQ(got.auxUpdated, want.auxUpdated) << where;
+    EXPECT_EQ(got.dataDisturbed, want.dataDisturbed) << where;
+    EXPECT_EQ(got.auxDisturbed, want.auxDisturbed) << where;
+    EXPECT_EQ(got.vnrIterations, want.vnrIterations) << where;
+}
+
+TEST(WriteUnit, CensusPathMatchesAscendingCellLoop)
+{
+    // Integer energies take the census path; 307.3 and an integer
+    // above 2^43 must take the per-cell loop (their sums depend on
+    // the order of the adds).
+    const std::vector<EnergyModel> energies = {
+        EnergyModel(),
+        EnergyModel::withHighStateEnergies(75.0, 135.0),
+        EnergyModel::withHighStateEnergies(307.3, 547.0),
+        EnergyModel(36.0, {0.0, 20.0, 307.0, 0x1p50}),
+    };
+    const simd::Kernel prev = simd::activeKernel();
+    Rng gen(2024);
+    unsigned dataDisturbed = 0;
+    unsigned auxDisturbed = 0;
+    for (const simd::Kernel k :
+         {simd::Kernel::Scalar, simd::Kernel::Avx2, simd::Kernel::Neon}) {
+        if (!simd::kernelAvailable(k))
+            continue;
+        simd::setKernel(k);
+        for (std::size_t e = 0; e < energies.size(); ++e) {
+            const WriteUnit unit{energies[e], DisturbanceModel()};
+            for (const unsigned n : {1u, 63u, 64u, 70u, 256u, 257u, 768u}) {
+                for (int trial = 0; trial < 8; ++trial) {
+                    std::vector<State> stored(n);
+                    TargetLine target(n);
+                    for (unsigned i = 0; i < n; ++i) {
+                        stored[i] = pcm::stateFromIndex(
+                            static_cast<unsigned>(gen.nextBelow(4)));
+                        target[i] =
+                            gen.chance(0.5)
+                                ? stored[i]
+                                : pcm::stateFromIndex(
+                                      static_cast<unsigned>(
+                                          gen.nextBelow(4)));
+                    }
+                    // Trials alternate: no aux, an aux tail only,
+                    // embedded aux cells only, both.
+                    if (trial & 1)
+                        target.setAuxStart(static_cast<unsigned>(
+                            gen.nextBelow(n + 1)));
+                    if (trial & 2)
+                        for (unsigned i = 0; i < n; ++i)
+                            if (gen.chance(0.25))
+                                target.markAux(i);
+                    const uint64_t seed = gen.next();
+                    for (const bool vnr : {false, true}) {
+                        const std::string where =
+                            std::string(simd::kernelName(k)) +
+                            " energy " + std::to_string(e) + " n=" +
+                            std::to_string(n) + " trial " +
+                            std::to_string(trial) +
+                            (vnr ? " vnr" : "");
+                        std::vector<State> got = stored;
+                        std::vector<State> want = stored;
+                        pcm::CellMask gotMask;
+                        pcm::CellMask wantMask;
+                        Rng gotRng(seed);
+                        Rng wantRng(seed);
+                        const auto st = unit.program(
+                            got, target, gotRng, vnr, &gotMask);
+                        const auto ref = ascendingCellProgram(
+                            unit, want, target, &wantRng, vnr, wantMask);
+                        expectSameWrite(st, ref, where);
+                        EXPECT_EQ(got, want) << where;
+                        EXPECT_EQ(gotMask.size(), wantMask.size());
+                        for (unsigned w = 0; w < gotMask.words(); ++w)
+                            EXPECT_EQ(gotMask.word(w), wantMask.word(w))
+                                << where << " mask word " << w;
+                        EXPECT_EQ(gotRng.next(), wantRng.next()) << where;
+                        dataDisturbed += st.dataDisturbed;
+                        auxDisturbed += st.auxDisturbed;
+                    }
+
+                    std::vector<State> got = stored;
+                    std::vector<State> want = stored;
+                    pcm::CellMask unused;
+                    expectSameWrite(unit.programExpected(got, target),
+                                    ascendingCellProgram(unit, want,
+                                                         target, nullptr,
+                                                         false, unused),
+                                    "expected");
+                    EXPECT_EQ(got, want);
+                }
+            }
+        }
+    }
+    simd::setKernel(prev);
+    // Both sides of the disturbed split were exercised.
+    EXPECT_GT(dataDisturbed, 0u);
+    EXPECT_GT(auxDisturbed, 0u);
 }
 
 TEST(WriteStats, Accumulate)

@@ -8,10 +8,11 @@
  * all assume the dispatch choice never changes a number. This suite
  * enforces that at three levels:
  *
- * 1. Kernel level: byteDiffMask / mapSymbols / accumRows4 / accumRows8
- *    of every available kernel against the scalar table, over
- *    randomized inputs and the edge geometries (partial last word,
- *    single-cell ranges, range ends at 31).
+ * 1. Kernel level: programCensus against a byte-by-byte definition,
+ *    and mapSymbols / accumRows4 / accumRows8 of every available
+ *    kernel against the scalar table, over randomized inputs and the
+ *    edge geometries (partial last word, single-cell ranges, range
+ *    ends at 31).
  *
  * 2. Codec level: every scheme x energy model x kernel over
  *    randomized and adversarial lines (all-zero, all-ones/aux-heavy,
@@ -121,45 +122,98 @@ TEST(SimdKernels, UnavailableKernelsRefuseToActivate)
     }
 }
 
-TEST(SimdKernels, ByteDiffMaskMatchesScalar)
+/** Byte-by-byte census: the definition programCensus must meet. */
+void
+referenceCensus(const uint8_t *stored, const uint8_t *target,
+                const uint64_t *auxWords, unsigned n, uint64_t *diff,
+                uint32_t counts[2][4])
 {
-    const simd::Ops &ref = simd::opsFor(Kernel::Scalar);
+    for (unsigned w = 0; w < (n + 63) / 64; ++w)
+        diff[w] = 0;
+    for (unsigned a = 0; a < 2; ++a)
+        for (unsigned s = 0; s < 4; ++s)
+            counts[a][s] = 0;
+    for (unsigned i = 0; i < n; ++i) {
+        if (stored[i] == target[i])
+            continue;
+        diff[i / 64] |= uint64_t{1} << (i % 64);
+        ++counts[(auxWords[i / 64] >> (i % 64)) & 1][target[i]];
+    }
+}
+
+TEST(SimdKernels, ProgramCensusMatchesScalar)
+{
     Rng rng(101);
     for (const Kernel k : availableKernels()) {
         const simd::Ops &ops = simd::opsFor(k);
         for (const unsigned n :
-             {1u, 2u, 31u, 63u, 64u, 65u, 127u, 256u, 257u, 767u,
-              768u}) {
-            std::vector<uint8_t> a(n), b(n);
-            for (unsigned i = 0; i < n; ++i) {
-                a[i] = static_cast<uint8_t>(rng.next() & 3);
-                // ~half the bytes equal, so both branches matter.
-                b[i] = rng.chance(0.5)
-                           ? a[i]
-                           : static_cast<uint8_t>(rng.next() & 3);
-            }
-            const unsigned nw = (n + 63) / 64;
-            // Poison the outputs to catch unwritten words.
-            std::vector<uint64_t> got(nw, ~uint64_t{0});
-            std::vector<uint64_t> want(nw, ~uint64_t{0});
-            ref.byteDiffMask(a.data(), b.data(), n, want.data());
-            ops.byteDiffMask(a.data(), b.data(), n, got.data());
-            for (unsigned w = 0; w < nw; ++w)
-                EXPECT_EQ(got[w], want[w])
-                    << simd::kernelName(k) << " n=" << n
-                    << " word " << w;
-            // Bits at or past n must be zero (CellMask invariant).
-            if (n % 64) {
-                EXPECT_EQ(got[nw - 1] >> (n % 64), 0u)
-                    << simd::kernelName(k) << " n=" << n;
+             {1u, 2u, 7u, 31u, 63u, 64u, 65u, 70u, 127u, 256u, 257u,
+              767u, 768u}) {
+            // Offset 3 puts every 8- and 32-byte load off alignment.
+            for (const unsigned offset : {0u, 3u}) {
+                // Leg 1 stores arbitrary bytes: the difference mask
+                // must hold for any byte value, not just states.
+                for (const bool anyByte : {false, true}) {
+                    std::vector<uint8_t> a(n + offset), b(n + offset);
+                    for (unsigned i = 0; i < n; ++i) {
+                        b[offset + i] =
+                            static_cast<uint8_t>(rng.next() & 3);
+                        // ~half the bytes equal, so both sides count.
+                        a[offset + i] =
+                            rng.chance(0.5)
+                                ? b[offset + i]
+                                : static_cast<uint8_t>(
+                                      rng.next() & (anyByte ? 255 : 3));
+                    }
+                    const unsigned nw = (n + 63) / 64;
+                    std::vector<uint64_t> aux(nw);
+                    for (auto &word : aux)
+                        word = rng.next();
+                    // Poison the outputs to catch unwritten words.
+                    std::vector<uint64_t> got(nw, ~uint64_t{0});
+                    std::vector<uint64_t> want(nw, ~uint64_t{0});
+                    uint32_t gotCounts[2][4];
+                    uint32_t wantCounts[2][4];
+                    std::memset(gotCounts, 0xa5, sizeof gotCounts);
+                    referenceCensus(a.data() + offset,
+                                    b.data() + offset, aux.data(), n,
+                                    want.data(), wantCounts);
+                    ops.programCensus(a.data() + offset,
+                                      b.data() + offset, aux.data(), n,
+                                      got.data(), gotCounts);
+                    const std::string where =
+                        std::string(simd::kernelName(k)) +
+                        " n=" + std::to_string(n) + " offset " +
+                        std::to_string(offset) +
+                        (anyByte ? " any byte" : "");
+                    for (unsigned w = 0; w < nw; ++w)
+                        EXPECT_EQ(got[w], want[w])
+                            << where << " word " << w;
+                    for (unsigned x = 0; x < 2; ++x)
+                        for (unsigned s = 0; s < 4; ++s)
+                            EXPECT_EQ(gotCounts[x][s], wantCounts[x][s])
+                                << where << " aux " << x << " state "
+                                << s;
+                    // Bits at or past n must be zero (CellMask
+                    // invariant).
+                    if (n % 64) {
+                        EXPECT_EQ(got[nw - 1] >> (n % 64), 0u) << where;
+                    }
+                }
             }
         }
-        // Identical buffers produce an all-zero mask.
+        // Identical buffers produce an all-zero mask and no counts.
         std::vector<uint8_t> same(256, 2);
         std::vector<uint64_t> mask(4, ~uint64_t{0});
-        ops.byteDiffMask(same.data(), same.data(), 256, mask.data());
+        const uint64_t allAux[4] = {~uint64_t{0}, 0, ~uint64_t{0}, 0};
+        uint32_t counts[2][4];
+        ops.programCensus(same.data(), same.data(), allAux, 256,
+                          mask.data(), counts);
         for (const uint64_t w : mask)
             EXPECT_EQ(w, 0u) << simd::kernelName(k);
+        for (const auto &side : counts)
+            for (const uint32_t c : side)
+                EXPECT_EQ(c, 0u) << simd::kernelName(k);
     }
 }
 
