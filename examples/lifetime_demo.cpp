@@ -11,6 +11,8 @@
  */
 
 #include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "pcm/write_unit.hh"
 #include "wearlevel/lifetime.hh"
@@ -23,8 +25,10 @@ main()
 
     // 48 lines, 80 % of writes hammering the hottest six — the
     // skew that kills an unleveled device early.
-    const auto trace = wearlevel::hotspotTrace(
-        /*lines=*/48, /*writes=*/600, /*seed=*/42);
+    const tracefile::VectorSource trace(
+        std::make_shared<const std::vector<trace::WriteTransaction>>(
+            wearlevel::hotspotTrace(
+                /*lines=*/48, /*writes=*/600, /*seed=*/42)));
 
     const pcm::EnergyModel energy;
     const pcm::DisturbanceModel disturbance;

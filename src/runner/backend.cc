@@ -10,7 +10,6 @@
 #include "runner/runner.hh"
 #include "runner/thread_pool.hh"
 #include "tracefile/source.hh"
-#include "trace/workload.hh"
 #include "wlcrc/factory.hh"
 
 namespace wlcrc::runner
@@ -20,125 +19,84 @@ namespace
 {
 
 /**
- * Materialise a spec's full transaction stream, for hooks that want
- * it as a vector rather than a pull loop: synthesized specs
- * re-derive it from the seed, sourced specs gather their (possibly
- * on-disk) stream. Only custom replays pay this — the stock replay
- * path always streams.
+ * The stream @p spec replays: its source, else the synthesized
+ * stream its (random | workload, seed, lines) names.
  */
-std::vector<trace::WriteTransaction>
-materialiseStream(const ExperimentSpec &spec)
+std::shared_ptr<const tracefile::TransactionSource>
+streamOf(const ExperimentSpec &spec)
 {
     if (spec.source)
-        return tracefile::gather(*spec.source);
-    std::vector<trace::WriteTransaction> txns;
-    txns.reserve(spec.lines);
-    trace::synthesize(
-        spec.random, spec.workload, spec.seed, spec.lines,
-        [&](const trace::WriteTransaction &t) { txns.push_back(t); });
-    return txns;
+        return spec.source;
+    return std::make_shared<tracefile::SynthSource>(
+        spec.random, spec.workload, spec.seed, spec.lines);
 }
 
 /**
- * Whether @p spec's shards replay from one shared synthesis pass
- * (fanOutGroup) rather than one runShard each: stock replays of a
- * synthesized stream. Sourced specs keep per-shard cursors, whose
- * source-side filtering and block pruning is what makes them fast.
+ * Tasks @p spec runs as when synthesized specs split @p width ways.
+ * A sourced spec keeps one group per shard, whose cursor filters —
+ * and, for indexed containers, block-prunes — on the source side. A
+ * synthesized stream costs a full synthesis pass whatever the
+ * filter, so its shards share passes.
  */
-bool
-fansOut(const ExperimentSpec &spec)
-{
-    return !spec.source && !spec.customReplay && !spec.lifetime &&
-           !spec.leveler.active();
-}
-
-/** Tasks @p spec runs as when fanned-out specs split @p width ways. */
 unsigned
 groupsOf(const ExperimentSpec &spec, unsigned width)
 {
     const unsigned shards = effectiveShards(spec);
-    return fansOut(spec) ? std::min(shards, width) : shards;
+    return spec.source ? shards : std::min(shards, width);
 }
 
 /**
- * Replay shard @p shard of a spec that does not fan out: custom
- * replays and leveled/lifetime specs (single-sharded), and sourced
- * specs, whose per-shard cursor filters — and, for indexed
- * containers, block-prunes — on the source side, so a trace larger
- * than RAM replays without ever being materialised.
+ * Replay a spec the block loop does not: a custom replay hook, or a
+ * leveled/lifetime spec, which needs one globally consistent line
+ * mapping and so always runs as a single shard
+ * (effectiveShards() == 1) with the spec's own seed, driven by the
+ * LifetimeEngine.
  */
 ShardOutcome
-runShard(const ExperimentSpec &spec, unsigned shard)
+runWhole(const ExperimentSpec &spec)
 {
     ShardOutcome out;
     if (spec.customReplay) {
         // An in-memory source is borrowed, never copied per grid
         // point; anything else is gathered once.
-        const auto *vec = dynamic_cast<const tracefile::VectorSource *>(
-            spec.source.get());
+        const auto stream = streamOf(spec);
+        const auto *vec =
+            dynamic_cast<const tracefile::VectorSource *>(stream.get());
         out.replay =
             vec ? spec.customReplay(spec, vec->transactions())
-                : spec.customReplay(spec, materialiseStream(spec));
+                : spec.customReplay(spec, tracefile::gather(*stream));
         return out;
     }
     const ShardKit kit(spec);
-    if (spec.lifetime || spec.leveler.active()) {
-        // Leveled and lifetime replays need one globally consistent
-        // line mapping, so they always run as a single shard
-        // (effectiveShards() == 1) with the spec's own seed, and the
-        // LifetimeEngine drives the device.
-        if (spec.lifetime && !spec.endurance.active())
-            throw std::runtime_error(
-                "lifetime replay requires an endurance config "
-                "(mean per-cell budget > 0)");
-        wearlevel::LifetimeEngine::Options lopts;
-        lopts.leveler = spec.leveler;
-        lopts.endurance = spec.endurance;
-        lopts.seed = spec.seed;
-        lopts.vnr = spec.device.vnr;
-        wearlevel::LifetimeEngine engine(*kit.codec, kit.unit, lopts);
-        out.lifetime =
-            engine.run(materialiseStream(spec), spec.lifetime);
-        out.replay = engine.replayResult();
-        if (spec.device.wearEndurance || spec.keepWearTracker)
-            out.wear.emplace(engine.wearTracker());
-        return out;
-    }
-
-    // The cursor filters (and block-prunes) source-side; records
-    // arrive already restricted to this shard and stream through
-    // Replayer::runBatch in fixed blocks.
-    const auto rep = shardReplayer(spec, kit, shard, out);
-    tracefile::ShardFilter filter{spec.shards > 1 ? spec.shards : 1,
-                                  shard};
-    if (spec.partition == tracefile::Partition::range &&
-        filter.shards > 1)
-        filter = tracefile::rangePartition(spec.source->addrBounds(),
-                                           filter.shards, shard);
-    auto cursor = spec.source->open(filter);
-    rep->runBatch([&](trace::WriteTransaction &slot) {
-        auto t = cursor->next();
-        if (!t)
-            return false;
-        slot = *t;
-        return true;
-    });
-    out.replay = rep->result();
+    if (spec.lifetime && !spec.endurance.active())
+        throw std::runtime_error(
+            "lifetime replay requires an endurance config "
+            "(mean per-cell budget > 0)");
+    wearlevel::LifetimeEngine::Options lopts;
+    lopts.leveler = spec.leveler;
+    lopts.endurance = spec.endurance;
+    lopts.seed = spec.seed;
+    lopts.vnr = spec.device.vnr;
+    wearlevel::LifetimeEngine engine(*kit.codec, kit.unit, lopts);
+    out.lifetime = engine.run(*streamOf(spec), spec.lifetime);
+    out.replay = engine.replayResult();
+    if (spec.device.wearEndurance || spec.keepWearTracker)
+        out.wear.emplace(engine.wearTracker());
     return out;
 }
 
 /**
- * Replay shards {s : s % groups == group} of a fanned-out spec from
- * a single synthesis pass: each record is routed by shardOf() into
- * its shard's block, and each full block goes to that shard's own
+ * Replay shards {s : s % groups == group} of @p spec from one cursor
+ * over its stream. A group of one shard opens its cursor with that
+ * shard's filter; a group of several opens it unfiltered and routes
+ * each record by shardOf(). Each record goes into its shard's
+ * 32-record block, and each full block to that shard's own
  * replayer. Every shard sees exactly its own records, in stream
- * order, on its own shardSeed() device — what a per-shard filter
- * would give it — so results do not depend on the grouping, while
- * the stream is synthesized once per group instead of once per
- * shard (synthesis dominates a synthesized shard's busy time).
+ * order, on its own shardSeed() device, so results do not depend on
+ * the grouping.
  */
 void
-fanOutGroup(const ExperimentSpec &spec, unsigned group, unsigned groups,
+replayGroup(const ExperimentSpec &spec, unsigned group, unsigned groups,
             std::vector<ShardOutcome> &outcomes)
 {
     constexpr std::size_t block = trace::Replayer::batchLines;
@@ -155,19 +113,29 @@ fanOutGroup(const ExperimentSpec &spec, unsigned group, unsigned groups,
         lanes.push_back({shardReplayer(spec, kit, s, outcomes[s]), {}});
         lanes.back().pending.reserve(block);
     }
-    trace::synthesize(
-        spec.random, spec.workload, spec.seed, spec.lines,
-        [&](const trace::WriteTransaction &t) {
-            const unsigned s = shardOf(t.lineAddr, spec.shards);
+    const auto stream = streamOf(spec);
+    tracefile::ShardFilter filter;
+    if (lanes.size() == 1 && spec.shards > 1)
+        filter = spec.partition == tracefile::Partition::range
+                     ? tracefile::rangePartition(stream->addrBounds(),
+                                                 spec.shards, group)
+                     : tracefile::ShardFilter{spec.shards, group};
+    auto cursor = stream->open(filter);
+    while (auto t = cursor->next()) {
+        std::size_t k = 0;
+        if (lanes.size() > 1) {
+            const unsigned s = shardOf(t->lineAddr, spec.shards);
             if (s % groups != group)
-                return;
-            Lane &lane = lanes[s / groups];
-            lane.pending.push_back(t);
-            if (lane.pending.size() == block) {
-                lane.rep->pushBlock(lane.pending.data(), block);
-                lane.pending.clear();
-            }
-        });
+                continue;
+            k = s / groups;
+        }
+        Lane &lane = lanes[k];
+        lane.pending.push_back(*t);
+        if (lane.pending.size() == block) {
+            lane.rep->pushBlock(lane.pending.data(), block);
+            lane.pending.clear();
+        }
+    }
     for (std::size_t k = 0; k < lanes.size(); ++k) {
         Lane &lane = lanes[k];
         lane.rep->pushBlock(lane.pending.data(), lane.pending.size());
@@ -177,9 +145,8 @@ fanOutGroup(const ExperimentSpec &spec, unsigned group, unsigned groups,
 
 /**
  * Run shards {s : s % groups == group} of @p spec into their slots
- * of @p outcomes: one fan-out pass, or one runShard each. Validation
- * runs first, so both paths fail alike; any error fails every shard
- * of the group.
+ * of @p outcomes. Validation runs first, so every path fails alike;
+ * any error fails every shard of the group.
  */
 void
 runGroup(const ExperimentSpec &spec, unsigned group, unsigned groups,
@@ -192,11 +159,11 @@ runGroup(const ExperimentSpec &spec, unsigned group, unsigned groups,
                 "partition=range requires a trace source "
                 "(--trace-in): synthesized streams have no stored "
                 "address bounds to slice");
-        if (fansOut(spec))
-            fanOutGroup(spec, group, groups, outcomes);
+        if (spec.customReplay || spec.lifetime ||
+            spec.leveler.active())
+            outcomes.front() = runWhole(spec);
         else
-            for (unsigned s = group; s < outcomes.size(); s += groups)
-                outcomes[s] = runShard(spec, s);
+            replayGroup(spec, group, groups, outcomes);
     } catch (const std::exception &err) {
         for (unsigned s = group; s < outcomes.size(); s += groups)
             outcomes[s].error = err.what();
@@ -298,7 +265,7 @@ shardGroups(const std::vector<ExperimentSpec> &specs,
 {
     std::size_t fanned = 0;
     for (const auto &s : specs)
-        fanned += fansOut(s) && effectiveShards(s) > 1;
+        fanned += !s.source && effectiveShards(s) > 1;
     fanned = std::max<std::size_t>(fanned, 1);
     const auto width = static_cast<unsigned>(
         std::max<std::size_t>(1, (poolThreads + fanned - 1) / fanned));

@@ -16,11 +16,12 @@
  *                    connecting from elsewhere. makeBackend's
  *                    "process" is a name for it with local workers.
  *
- * Synthesized specs fan out: one task synthesizes the stream once
- * and routes each record to the replayer of the shard it belongs
- * to, instead of every shard re-synthesizing the whole stream and
- * discarding the records it does not own. Sourced specs keep one
- * source-side-filtered cursor per shard.
+ * Every stock replay runs one loop: a shard group opens one cursor
+ * over the spec's TransactionSource (a synthesized spec's is a
+ * tracefile::SynthSource) and routes each record to the replayer of
+ * the shard it belongs to. A synthesized spec's shards share a few
+ * such passes instead of each re-synthesizing the whole stream;
+ * a sourced spec keeps one source-side-filtered cursor per shard.
  *
  * Determinism: a backend only ever changes *where* shards execute.
  * Every shard replays exactly its own records, in stream order, on
@@ -148,8 +149,8 @@ class ThreadBackend final : public ExecutionBackend
 };
 
 /**
- * Execute one spec on the calling thread — one synthesis pass for
- * synthesized specs, else shards in shard order — merged into one
+ * Execute one spec on the calling thread — one pass for a
+ * synthesized spec, else shards in shard order — merged into one
  * result. The unit every backend is built from — also the body of
  * `wlcrc_worker`.
  */
@@ -164,7 +165,7 @@ unsigned effectiveShards(const ExperimentSpec &spec);
  * group. A synthesized spec's group replays all its shards from one
  * synthesis pass, so it gets only as many groups as keep the pool
  * busy: G = min(shards, ceil(poolThreads / F)), F being the number
- * of synthesized multi-shard specs (G = 1 on one thread). Other
+ * of synthesized multi-shard specs (G = 1 on one thread). Sourced
  * specs run one task per shard (G = effectiveShards). Derived, not
  * configurable — results never depend on it.
  */

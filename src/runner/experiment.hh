@@ -99,9 +99,11 @@ struct ExperimentSpec
     /**
      * External transaction stream (a trace file or an in-memory
      * vector), shared read-only across specs and shards; each shard
-     * opens its own streaming cursor over its address partition, so
-     * an on-disk trace replays without ever being materialised.
-     * Overrides workload/random when set.
+     * opens its own streaming cursor over its address partition,
+     * and a lifetime replay re-opens it for every pass, so an
+     * on-disk trace replays without ever being materialised (only
+     * a customReplay hook gathers it). Overrides workload/random
+     * when set.
      */
     std::shared_ptr<const tracefile::TransactionSource> source;
     uint64_t lines = 10000; //!< writes to synthesize (ignored w/

@@ -8,14 +8,14 @@
  * always differentiates against realistically encoded prior state.
  *
  * The replayer owns one EncodeScratch and one TargetLine, so a
- * steady-state write performs no heap allocation. runBatch() is the
- * streaming entry the runner's sourced shards use: it gathers
- * transactions into fixed-size blocks and encodes each block's
- * independent (distinct-line) runs through LineCodec::encodeBatch —
- * one virtual dispatch per run instead of per write, with identical
- * results to step()-ing every transaction in order. pushBlock() is
- * its push twin for callers that gather blocks themselves: the
- * runner's synthesized fan-out and the live service's bank workers.
+ * steady-state write performs no heap allocation. pushBlock() is the
+ * block entry the runner's shard groups and the live service's bank
+ * workers use: it replays up to batchLines transactions the caller
+ * gathered and encodes the block's independent (distinct-line) runs
+ * through LineCodec::encodeBatch — one virtual dispatch per run
+ * instead of per write, with identical results to step()-ing every
+ * transaction in order. runBatch() is its pull twin, which gathers
+ * the blocks itself from a fill callback.
  *
  * The block path pays although no codec overrides encodeBatch: a
  * block primes its lines, encodes them and programs them in three
@@ -71,7 +71,7 @@ struct ReplayResult
 class Replayer
 {
   public:
-    /** Transactions gathered per runBatch() block. */
+    /** Transactions per replayed block. */
     static constexpr std::size_t batchLines = 32;
 
     /**
@@ -98,7 +98,7 @@ class Replayer
     }
 
     /**
-     * Streaming batched replay. @p fill is called with a slot to
+     * Pull twin of pushBlock(): @p fill is called with a slot to
      * write the next transaction into and returns false when the
      * stream is exhausted. Results are identical to step()-ing the
      * same stream in order.
@@ -125,11 +125,11 @@ class Replayer
     }
 
     /**
-     * Replay @p n <= batchLines transactions as one block: the push
-     * twin of runBatch() for callers that gather blocks themselves
-     * (the runner's fan-out routes one synthesized stream to several
-     * shard replayers; a serve bank replays what its queue holds).
-     * Results are identical to step()-ing them.
+     * Replay @p n <= batchLines transactions as one block, for
+     * callers that gather blocks themselves (a runner shard group
+     * routes one cursor's records to several shard replayers; a
+     * serve bank replays what its queue holds). Results are
+     * identical to step()-ing them.
      */
     void
     pushBlock(const WriteTransaction *txns, std::size_t n)

@@ -98,31 +98,6 @@ class RandomWorkload
 };
 
 /**
- * Feed @p sink the first @p lines transactions of a synthesized
- * stream: the random workload when @p random, else @p workload's
- * TraceSynthesizer, either seeded with @p seed. The one place a
- * (random, workload, seed) triple becomes records, so the runner's
- * replay, its stream materialisation and `--trace-out` all see the
- * same stream.
- * @throws std::invalid_argument if @p workload is unknown.
- */
-template <typename Sink>
-void
-synthesize(bool random, const std::string &workload, uint64_t seed,
-           uint64_t lines, Sink &&sink)
-{
-    const auto drain = [&](auto &&gen) {
-        for (uint64_t i = 0; i < lines; ++i)
-            sink(gen.next());
-    };
-    if (random)
-        drain(RandomWorkload(seed));
-    else
-        drain(TraceSynthesizer(WorkloadProfile::byName(workload),
-                               seed));
-}
-
-/**
  * Multi-programmed workload blend: several benchmark profiles
  * time-share one memory, the way a rank under a multi-core write
  * stream would see them. Each write picks a program with probability

@@ -74,6 +74,35 @@ class V1Cursor : public TraceCursor
     ShardFilter filter_;
 };
 
+/** Draws a synthesized stream from its own generator. */
+template <typename Generator>
+class SynthCursor : public TraceCursor
+{
+  public:
+    SynthCursor(Generator gen, uint64_t lines, ShardFilter filter)
+        : gen_(std::move(gen)), left_(lines), filter_(filter)
+    {}
+
+    std::optional<trace::WriteTransaction>
+    next() override
+    {
+        while (left_ > 0) {
+            --left_;
+            const trace::WriteTransaction &t = gen_.next();
+            if (filter_.accepts(t.lineAddr))
+                return t;
+        }
+        return std::nullopt;
+    }
+
+    std::size_t bufferBytes() const override { return recordBytes; }
+
+  private:
+    Generator gen_;
+    uint64_t left_;
+    ShardFilter filter_;
+};
+
 /** Synchronous block-wise walk of a mapping with index pruning. */
 class MappedCursor : public TraceCursor
 {
@@ -366,6 +395,50 @@ rangePartition(std::pair<uint64_t, uint64_t> bounds, unsigned shards,
     return f;
 }
 
+// ---------------------------------------------------- ScannedSource
+
+std::pair<uint64_t, uint64_t>
+ScannedSource::addrBounds() const
+{
+    std::lock_guard lock(scanMutex_);
+    if (!bounds_) {
+        auto cursor = open({});
+        auto t = cursor->next();
+        uint64_t lo = t ? t->lineAddr : 0;
+        uint64_t hi = lo;
+        for (; t; t = cursor->next()) {
+            lo = std::min(lo, t->lineAddr);
+            hi = std::max(hi, t->lineAddr);
+        }
+        bounds_ = {lo, hi};
+    }
+    return *bounds_;
+}
+
+uint64_t
+ScannedSource::contentDigest() const
+{
+    std::lock_guard lock(scanMutex_);
+    if (!digest_)
+        digest_ = scanDigest();
+    return *digest_;
+}
+
+uint64_t
+ScannedSource::scanDigest() const
+{
+    uint32_t crc = 0;
+    uint64_t n = 0;
+    uint8_t buf[recordBytes];
+    auto cursor = open({});
+    while (auto t = cursor->next()) {
+        encodeRecord(buf, *t);
+        crc = crc32(buf, sizeof buf, crc);
+        ++n;
+    }
+    return (uint64_t{crc} << 32) ^ n;
+}
+
 // ------------------------------------------------------ VectorSource
 
 VectorSource::VectorSource(
@@ -391,40 +464,48 @@ VectorSource::describe() const
     return os.str();
 }
 
-std::pair<uint64_t, uint64_t>
-VectorSource::addrBounds() const
+// ----------------------------------------------------- SynthSource
+
+SynthSource::SynthSource(bool random, std::string workload,
+                         uint64_t seed, uint64_t lines)
+    : random_(random), workload_(std::move(workload)), seed_(seed),
+      lines_(lines)
 {
-    std::lock_guard lock(digestMutex_);
-    if (!bounds_) {
-        uint64_t lo = 0;
-        uint64_t hi = 0;
-        bool first = true;
-        for (const auto &t : *txns_) {
-            if (first || t.lineAddr < lo)
-                lo = t.lineAddr;
-            if (first || t.lineAddr > hi)
-                hi = t.lineAddr;
-            first = false;
-        }
-        bounds_ = {lo, hi};
-    }
-    return *bounds_;
+    if (!random_)
+        trace::WorkloadProfile::byName(workload_); // validate now
 }
 
-uint64_t
-VectorSource::contentDigest() const
+SynthSource::SynthSource(
+    std::vector<trace::MixedSynthesizer::Program> programs,
+    uint64_t seed, uint64_t lines)
+    : programs_(std::move(programs)), seed_(seed), lines_(lines)
 {
-    std::lock_guard lock(digestMutex_);
-    if (!digest_) {
-        uint32_t crc = 0;
-        uint8_t buf[recordBytes];
-        for (const auto &t : *txns_) {
-            encodeRecord(buf, t);
-            crc = crc32(buf, sizeof buf, crc);
-        }
-        digest_ = (uint64_t{crc} << 32) ^ txns_->size();
-    }
-    return *digest_;
+    (void)trace::MixedSynthesizer(programs_, seed_); // validate now
+}
+
+std::unique_ptr<TraceCursor>
+SynthSource::open(const ShardFilter &filter) const
+{
+    if (!programs_.empty())
+        return std::make_unique<SynthCursor<trace::MixedSynthesizer>>(
+            trace::MixedSynthesizer(programs_, seed_), lines_, filter);
+    if (random_)
+        return std::make_unique<SynthCursor<trace::RandomWorkload>>(
+            trace::RandomWorkload(seed_), lines_, filter);
+    return std::make_unique<SynthCursor<trace::TraceSynthesizer>>(
+        trace::TraceSynthesizer(
+            trace::WorkloadProfile::byName(workload_), seed_),
+        lines_, filter);
+}
+
+std::string
+SynthSource::describe() const
+{
+    std::ostringstream os;
+    os << "synthesized "
+       << (!programs_.empty() ? "blend" : random_ ? "random" : workload_)
+       << " seed " << seed_ << " (" << lines_ << " records)";
+    return os.str();
 }
 
 // ------------------------------------------------------ V1FileSource
@@ -454,51 +535,24 @@ V1FileSource::describe() const
     return os.str();
 }
 
-std::pair<uint64_t, uint64_t>
-V1FileSource::addrBounds() const
-{
-    std::lock_guard lock(digestMutex_);
-    if (!bounds_) {
-        trace::TraceReader reader(path_);
-        uint64_t lo = 0;
-        uint64_t hi = 0;
-        bool first = true;
-        while (auto t = reader.read()) {
-            if (first || t->lineAddr < lo)
-                lo = t->lineAddr;
-            if (first || t->lineAddr > hi)
-                hi = t->lineAddr;
-            first = false;
-        }
-        bounds_ = {lo, hi};
-    }
-    return *bounds_;
-}
-
 uint64_t
-V1FileSource::contentDigest() const
+V1FileSource::scanDigest() const
 {
-    std::lock_guard lock(digestMutex_);
-    if (!digest_) {
-        // A v1 dump has no stored checksums, so the digest is a
-        // full-file CRC (one streaming read, first call only).
-        std::ifstream in(path_, std::ios::binary);
-        if (!in)
-            throw std::runtime_error(
-                "V1FileSource: cannot reopen " + path_);
-        uint32_t crc = 0;
-        uint64_t bytes = 0;
-        char buf[1 << 16];
-        while (in.read(buf, sizeof buf) || in.gcount() > 0) {
-            crc = crc32(buf, static_cast<std::size_t>(in.gcount()),
-                        crc);
-            bytes += static_cast<uint64_t>(in.gcount());
-            if (in.eof())
-                break;
-        }
-        digest_ = (uint64_t{crc} << 32) ^ bytes;
+    // One streaming read of the whole file, header included.
+    std::ifstream in(path_, std::ios::binary);
+    if (!in)
+        throw std::runtime_error("V1FileSource: cannot reopen " +
+                                 path_);
+    uint32_t crc = 0;
+    uint64_t bytes = 0;
+    char buf[1 << 16];
+    while (in.read(buf, sizeof buf) || in.gcount() > 0) {
+        crc = crc32(buf, static_cast<std::size_t>(in.gcount()), crc);
+        bytes += static_cast<uint64_t>(in.gcount());
+        if (in.eof())
+            break;
     }
-    return *digest_;
+    return (uint64_t{crc} << 32) ^ bytes;
 }
 
 // ------------------------------------------------- MappedTraceSource

@@ -20,8 +20,11 @@
  *    else.
  *
  * Implementations:
- *  - VectorSource      wraps an in-memory stream (legacy paths,
- *                      tests, grid convenience API);
+ *  - VectorSource      wraps an in-memory stream (tests, custom
+ *                      replay hooks, grid convenience API);
+ *  - SynthSource       re-derives a synthesized stream (random,
+ *                      one workload profile or a blend) from its
+ *                      seed on every open() — nothing is stored;
  *  - V1FileSource      streams a WLCTRC01 dump record by record —
  *                      one record buffered, nothing slurped;
  *  - MappedTraceSource walks a WLCTRC02/03 container block-wise over
@@ -30,6 +33,9 @@
  *                      cannot intersect its partition, and each
  *                      visited block is CRC-checked (and, for v3,
  *                      decompressed and re-checked) on entry.
+ *
+ * The first three store no index: ScannedSource derives their
+ * address bounds and content digest from one scan over open({}).
  *
  * Decode-ahead: cursors over a compressed container stage block
  * verify+decompress on a background producer thread through a
@@ -61,6 +67,7 @@
 #include "tracefile/mapped_trace.hh"
 #include "trace/trace_io.hh"
 #include "trace/transaction.hh"
+#include "trace/workload.hh"
 
 namespace wlcrc::tracefile
 {
@@ -162,8 +169,8 @@ class TransactionSource
     /**
      * Inclusive [min, max] line-address bounds of the stream ({0, 0}
      * when empty) — the basis of range partitioning. Containers read
-     * it off the footer index (free); v1 files and vectors scan once
-     * and cache (thread-safe).
+     * it off the footer index (free); a ScannedSource scans once and
+     * caches.
      */
     virtual std::pair<uint64_t, uint64_t> addrBounds() const = 0;
 
@@ -176,9 +183,8 @@ class TransactionSource
      * source reads it straight off the footer (free) — for v3 the
      * digest covers the uncompressed content, so rewriting a file
      * with a different codec keeps it stable while any payload
-     * change moves it; v1 files and in-memory vectors checksum
-     * their records on the first call (cached thereafter,
-     * thread-safe).
+     * change moves it; a ScannedSource checksums its stream on the
+     * first call and caches.
      */
     virtual uint64_t contentDigest() const = 0;
 
@@ -202,8 +208,30 @@ class TransactionSource
     std::string label_ = "trace";
 };
 
+/**
+ * A source with no stored index. addrBounds() and contentDigest()
+ * each scan open({}) once, on the first call, and cache the result
+ * (thread-safe). The digest is a CRC over the encoded records folded
+ * with their count, so equal record streams give equal digests.
+ */
+class ScannedSource : public TransactionSource
+{
+  public:
+    std::pair<uint64_t, uint64_t> addrBounds() const final;
+    uint64_t contentDigest() const final;
+
+  protected:
+    /** The digest contentDigest() caches (record CRC by default). */
+    virtual uint64_t scanDigest() const;
+
+  private:
+    mutable std::mutex scanMutex_;
+    mutable std::optional<uint64_t> digest_;
+    mutable std::optional<std::pair<uint64_t, uint64_t>> bounds_;
+};
+
 /** In-memory stream (shared, read-only). */
-class VectorSource : public TransactionSource
+class VectorSource : public ScannedSource
 {
   public:
     explicit VectorSource(
@@ -214,8 +242,6 @@ class VectorSource : public TransactionSource
     open(const ShardFilter &filter) const override;
     uint64_t records() const override { return txns_->size(); }
     std::string describe() const override;
-    std::pair<uint64_t, uint64_t> addrBounds() const override;
-    uint64_t contentDigest() const override;
 
     /** The backing stream — lets consumers that genuinely need a
      *  vector (custom replay hooks) borrow it instead of copying. */
@@ -228,13 +254,47 @@ class VectorSource : public TransactionSource
   private:
     std::shared_ptr<const std::vector<trace::WriteTransaction>>
         txns_;
-    mutable std::mutex digestMutex_;
-    mutable std::optional<uint64_t> digest_;
-    mutable std::optional<std::pair<uint64_t, uint64_t>> bounds_;
+};
+
+/**
+ * The first @p lines records of a synthesized stream: the random
+ * workload, one profile's TraceSynthesizer or a MixedSynthesizer
+ * blend, seeded with @p seed. Every open() re-derives the stream
+ * from the seed and yields the records its filter accepts, so any
+ * number of passes replay the identical stream in one record of
+ * memory.
+ */
+class SynthSource : public ScannedSource
+{
+  public:
+    /**
+     * The random workload when @p random, else @p workload's profile.
+     * @throws std::invalid_argument if @p workload is unknown.
+     */
+    SynthSource(bool random, std::string workload, uint64_t seed,
+                uint64_t lines);
+    /**
+     * A blend of @p programs.
+     * @throws std::invalid_argument as MixedSynthesizer does.
+     */
+    SynthSource(std::vector<trace::MixedSynthesizer::Program> programs,
+                uint64_t seed, uint64_t lines);
+
+    std::unique_ptr<TraceCursor>
+    open(const ShardFilter &filter) const override;
+    uint64_t records() const override { return lines_; }
+    std::string describe() const override;
+
+  private:
+    bool random_ = false;
+    std::string workload_;
+    std::vector<trace::MixedSynthesizer::Program> programs_;
+    uint64_t seed_;
+    uint64_t lines_;
 };
 
 /** Streaming WLCTRC01 file scan; each cursor re-opens the file. */
-class V1FileSource : public TransactionSource
+class V1FileSource : public ScannedSource
 {
   public:
     /** @throws std::runtime_error on open failure or bad magic. */
@@ -244,17 +304,16 @@ class V1FileSource : public TransactionSource
     open(const ShardFilter &filter) const override;
     uint64_t records() const override { return records_; }
     std::string describe() const override;
-    std::pair<uint64_t, uint64_t> addrBounds() const override;
-    uint64_t contentDigest() const override;
     std::string filePath() const override { return path_; }
     const std::string &path() const { return path_; }
+
+  protected:
+    /** A full-file CRC: a v1 dump stores no checksums. */
+    uint64_t scanDigest() const override;
 
   private:
     std::string path_;
     uint64_t records_;
-    mutable std::mutex digestMutex_;
-    mutable std::optional<uint64_t> digest_;
-    mutable std::optional<std::pair<uint64_t, uint64_t>> bounds_;
 };
 
 /** Block-pruned streaming over a shared WLCTRC02/03 mapping. */
@@ -290,7 +349,7 @@ openTraceSource(const std::string &path);
 /**
  * Materialise a source's full (unfiltered) stream. Only for
  * consumers that genuinely need a vector — custom replay hooks,
- * format conversion tests; the replay path never calls this.
+ * format conversion tests; no stock or lifetime replay calls this.
  */
 std::vector<trace::WriteTransaction>
 gather(const TransactionSource &source);

@@ -148,7 +148,7 @@ LifetimeEngine::sampleCov(LifetimeResult &res)
 }
 
 LifetimeResult
-LifetimeEngine::run(const std::vector<trace::WriteTransaction> &txns,
+LifetimeEngine::run(const tracefile::TransactionSource &source,
                     bool loopUntilDeath)
 {
     if (ran_)
@@ -162,31 +162,30 @@ LifetimeEngine::run(const std::vector<trace::WriteTransaction> &txns,
                              ? opts_.endurance.maxWrites
                              : defaultWriteCap;
     std::vector<LineMove> moves;
-    bool capped = txns.empty();
-    while (!capped && !res.died) {
-        for (const trace::WriteTransaction &t : txns) {
-            if (res.demandWrites >= cap) {
-                capped = true;
+    for (bool more = true; more && !res.died;) {
+        auto cursor = source.open();
+        uint64_t pass = 0;
+        while (!res.died && res.demandWrites < cap) {
+            const auto t = cursor->next();
+            if (!t)
                 break;
-            }
-            const uint64_t phys = leveler_->map(t.lineAddr);
-            trace::WriteTransaction mapped = t;
+            ++pass;
+            const uint64_t phys = leveler_->map(t->lineAddr);
+            trace::WriteTransaction mapped = *t;
             mapped.lineAddr = phys;
             replayer_.step(mapped);
-            lastData_.insert_or_assign(t.lineAddr, t.newData);
+            lastData_.insert_or_assign(t->lineAddr, t->newData);
             ++res.demandWrites;
             if (opts_.endurance.active() && checkLine(phys, res))
                 break;
             moves.clear();
-            leveler_->onWrite(t.lineAddr, moves);
+            leveler_->onWrite(t->lineAddr, moves);
             applyMoves(moves, res);
-            if (res.died)
-                break;
-            if (res.demandWrites % res.covSampleEvery == 0)
+            if (!res.died && res.demandWrites % res.covSampleEvery == 0)
                 sampleCov(res);
         }
-        if (!loopUntilDeath)
-            break;
+        // An empty pass would loop forever without writing.
+        more = loopUntilDeath && pass > 0 && res.demandWrites < cap;
     }
 
     // A device that outlives the write cap survived at least this

@@ -32,6 +32,7 @@
 #include "pcm/write_unit.hh"
 #include "trace/replay.hh"
 #include "trace/transaction.hh"
+#include "tracefile/source.hh"
 #include "wearlevel/config.hh"
 #include "wearlevel/leveler.hh"
 
@@ -93,12 +94,13 @@ class LifetimeEngine
     ~LifetimeEngine();
 
     /**
-     * Replay @p txns — once when @p loopUntilDeath is false, or
+     * Replay @p source — once when @p loopUntilDeath is false, or
      * repeatedly from the top until the device dies or the write
-     * cap is reached. Death checks run only when the endurance
-     * config is active. May be called once per engine.
+     * cap is reached. Each pass opens a fresh cursor, so memory does
+     * not grow with the stream's length. Death checks run only when
+     * the endurance config is active. May be called once per engine.
      */
-    LifetimeResult run(const std::vector<trace::WriteTransaction> &txns,
+    LifetimeResult run(const tracefile::TransactionSource &source,
                        bool loopUntilDeath);
 
     /** Demand-write replay metrics (remap copies excluded). */

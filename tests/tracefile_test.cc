@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -46,6 +47,7 @@ using namespace wlcrc;
 using tracefile::MappedTrace;
 using tracefile::MappedTraceSource;
 using tracefile::ShardFilter;
+using tracefile::SynthSource;
 using tracefile::TraceFileWriter;
 using tracefile::TransactionSource;
 using tracefile::V1FileSource;
@@ -1176,6 +1178,11 @@ TEST(ReplayEquivalence, VectorV1AndV2ProduceIdenticalCsv)
     EXPECT_FALSE(csvVector.empty());
     EXPECT_EQ(csvVector, replayCsv(fromV1, 2, 4));
     EXPECT_EQ(csvVector, replayCsv(fromV2, 2, 4));
+    // The same stream, never stored: re-derived from its seed.
+    EXPECT_EQ(csvVector,
+              replayCsv(std::make_shared<SynthSource>(false, "milc",
+                                                      29, 1500),
+                        2, 4));
 }
 
 TEST(ReplayEquivalence, V2ReplayIsIdenticalAcrossJobCounts)
@@ -1365,6 +1372,82 @@ TEST(MixedSynthesizer, RejectsBadPrograms)
                  std::invalid_argument);
 }
 
+// ---------------------------------------------- synthesized sources
+
+/** The first @p n records @p gen draws. */
+template <typename Generator>
+std::vector<WriteTransaction>
+drawn(Generator gen, uint64_t n)
+{
+    std::vector<WriteTransaction> txns;
+    for (uint64_t i = 0; i < n; ++i)
+        txns.push_back(gen.next());
+    return txns;
+}
+
+void
+expectSameRecords(const std::vector<WriteTransaction> &got,
+                  const std::vector<WriteTransaction> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].lineAddr, want[i].lineAddr) << i;
+        ASSERT_EQ(got[i].oldData, want[i].oldData) << i;
+        ASSERT_EQ(got[i].newData, want[i].newData) << i;
+    }
+}
+
+TEST(SynthSource, CursorsReplayTheGeneratorFilteredAndRestart)
+{
+    const uint64_t lines = 600;
+    const std::vector<MixedSynthesizer::Program> blend = {
+        {"gcc", 2.0}, {"libq", 1.0}};
+    struct Case
+    {
+        std::unique_ptr<SynthSource> source;
+        std::vector<WriteTransaction> want; //!< the generator's draws
+    };
+    std::vector<Case> cases;
+    cases.push_back({std::make_unique<SynthSource>(true, "", 7, lines),
+                     drawn(trace::RandomWorkload(7), lines)});
+    cases.push_back(
+        {std::make_unique<SynthSource>(false, "gcc", 7, lines),
+         drawn(TraceSynthesizer(WorkloadProfile::byName("gcc"), 7),
+               lines)});
+    cases.push_back({std::make_unique<SynthSource>(blend, 7, lines),
+                     drawn(MixedSynthesizer(blend, 7), lines)});
+    for (const auto &[sourcePtr, want] : cases) {
+        const SynthSource &source = *sourcePtr;
+        SCOPED_TRACE(source.describe());
+        EXPECT_EQ(source.records(), lines);
+        expectSameRecords(tracefile::gather(source), want);
+        // A second pass restarts the identical stream.
+        expectSameRecords(tracefile::gather(source), want);
+        for (unsigned s = 0; s < 3; ++s) {
+            std::vector<WriteTransaction> own;
+            for (const auto &t : want)
+                if (t.lineAddr % 3 == s)
+                    own.push_back(t);
+            std::vector<WriteTransaction> got;
+            auto cursor = source.open({3, s});
+            while (auto t = cursor->next())
+                got.push_back(*t);
+            expectSameRecords(got, own);
+        }
+        // One scan helper and one record digest for every index-free
+        // source: equal record streams, equal bounds and digests.
+        const VectorSource stored(
+            std::make_shared<std::vector<WriteTransaction>>(want));
+        EXPECT_EQ(source.addrBounds(), stored.addrBounds());
+        EXPECT_EQ(source.contentDigest(), stored.contentDigest());
+    }
+    EXPECT_THROW(SynthSource(false, "nope", 1, 10),
+                 std::invalid_argument);
+    EXPECT_THROW(SynthSource(std::vector<MixedSynthesizer::Program>{},
+                             1, 10),
+                 std::invalid_argument);
+}
+
 // -------------------------------------------------------- conversion
 
 TEST(Conversion, V1ToV2AndBackPreservesEveryRecord)
@@ -1538,6 +1621,34 @@ TEST(TraceTool, ConvertInfoAndVerifyCoverV3)
               " --format v2 --block-records 64");
     EXPECT_EQ(slurpBytes(back.path), slurpBytes(v2.path));
 }
+
+#ifdef WLCRC_SIM_BIN
+
+TEST(TraceTool, SimTraceOutHoldsTheSynthesizedStream)
+{
+    // wlcrc_sim --trace-out writes the stream its replay synthesizes:
+    // the container verifies and holds exactly the synthesizer's
+    // records.
+    const auto want = sampleStream(700, "lesl", 13);
+    for (const std::string format : {"v2", "v3"}) {
+        SCOPED_TRACE(format);
+        TmpFile out("wlcrc_sim_trace_out_" + format + ".trc");
+        EXPECT_EQ(test::exitCodeOf(std::string(WLCRC_SIM_BIN) +
+                                   " --workload lesl --lines 700 "
+                                   "--seed 13 --trace-format " +
+                                   format + " --trace-out " +
+                                   out.path + " >/dev/null 2>&1"),
+                  0);
+        EXPECT_NE(traceTool("verify " + out.path)
+                      .find("all checksums match"),
+                  std::string::npos);
+        expectSameRecords(
+            tracefile::gather(*tracefile::openTraceSource(out.path)),
+            want);
+    }
+}
+
+#endif // WLCRC_SIM_BIN
 
 TEST(TraceCli, RejectsRepeatedFlagsAndMalformedCountsWithUsageError)
 {

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 
@@ -18,7 +20,10 @@
 #include "pcm/write_unit.hh"
 #include "runner/grid.hh"
 #include "runner/report.hh"
+#include "runner/backend.hh"
 #include "runner/runner.hh"
+#include "trace/workload.hh"
+#include "tracefile/source.hh"
 #include "wearlevel/config.hh"
 #include "wearlevel/leveler.hh"
 #include "wearlevel/lifetime.hh"
@@ -238,7 +243,8 @@ engineOpts(const char *leveler, const char *endurance)
 }
 
 wearlevel::LifetimeResult
-runToFailure(const char *leveler, const char *endurance)
+runToFailure(const char *leveler, const char *endurance,
+             const tracefile::TransactionSource &trace)
 {
     const pcm::EnergyModel energy;
     const pcm::DisturbanceModel disturbance;
@@ -246,9 +252,81 @@ runToFailure(const char *leveler, const char *endurance)
     const auto codec = core::makeCodec("WLCRC-16", energy);
     LifetimeEngine engine(*codec, unit,
                           engineOpts(leveler, endurance));
-    const auto trace = wearlevel::hotspotTrace(64, 400, 21);
     return engine.run(trace, /*loopUntilDeath=*/true);
 }
+
+wearlevel::LifetimeResult
+runToFailure(const char *leveler, const char *endurance)
+{
+    return runToFailure(
+        leveler, endurance,
+        tracefile::VectorSource(
+            std::make_shared<
+                const std::vector<trace::WriteTransaction>>(
+                wearlevel::hotspotTrace(64, 400, 21))));
+}
+
+/**
+ * A gcc stream of `records` records, synthesized as it is pulled, that
+ * lets one cursor pull at most `limit` of them: a replay that gathers
+ * more than it writes fails with the cursor's error. Counts opens.
+ */
+class PullBoundSource : public tracefile::TransactionSource
+{
+  public:
+    PullBoundSource(uint64_t records, uint64_t limit)
+        : records_(records), limit_(limit)
+    {}
+
+    std::unique_ptr<tracefile::TraceCursor>
+    open(const tracefile::ShardFilter &) const override
+    {
+        ++opens_;
+        return std::make_unique<Cursor>(records_, limit_);
+    }
+    uint64_t records() const override { return records_; }
+    std::string describe() const override { return "pull-bound"; }
+    std::pair<uint64_t, uint64_t>
+    addrBounds() const override
+    {
+        return {0, ~uint64_t{0}};
+    }
+    uint64_t contentDigest() const override { return records_; }
+    unsigned opens() const { return opens_; }
+
+  private:
+    class Cursor : public tracefile::TraceCursor
+    {
+      public:
+        Cursor(uint64_t records, uint64_t limit)
+            : left_(records), limit_(limit)
+        {}
+        std::optional<trace::WriteTransaction>
+        next() override
+        {
+            if (left_ == 0)
+                return std::nullopt;
+            if (pulled_++ == limit_)
+                throw std::runtime_error(
+                    "cursor pulled past " + std::to_string(limit_) +
+                    " records");
+            --left_;
+            return synth_.next();
+        }
+        std::size_t bufferBytes() const override { return 0; }
+
+      private:
+        trace::TraceSynthesizer synth_{
+            trace::WorkloadProfile::byName("gcc"), 3};
+        uint64_t left_;
+        uint64_t limit_;
+        uint64_t pulled_ = 0;
+    };
+
+    uint64_t records_;
+    uint64_t limit_;
+    mutable std::atomic<unsigned> opens_{0};
+};
 
 TEST(LifetimeEngineTest, DeathIsDeterministic)
 {
@@ -309,6 +387,34 @@ TEST(LifetimeEngineTest, PageRemapOutlivesNullLeveler)
     EXPECT_GT(leveled.tableBytes, 0u);
 }
 
+TEST(LifetimeEngineTest, EachPassReopensTheSource)
+{
+    // A 300-record stream looped to death: one open per pass, and
+    // the same result as the gathered records in memory.
+    const PullBoundSource stream(300, 300);
+    const auto looped = runToFailure("start-gap:p8:r16", "60:0.2",
+                                     stream);
+    const auto inMemory = runToFailure(
+        "start-gap:p8:r16", "60:0.2",
+        tracefile::VectorSource(
+            std::make_shared<
+                const std::vector<trace::WriteTransaction>>(
+                tracefile::gather(PullBoundSource(300, 300)))));
+    ASSERT_TRUE(looped.died);
+    EXPECT_GT(looped.demandWrites, 300u) << "needs several passes";
+    EXPECT_EQ(stream.opens(), (looped.demandWrites + 299) / 300);
+    EXPECT_EQ(looped.demandWrites, inMemory.demandWrites);
+    EXPECT_EQ(looped.writesToFailure, inMemory.writesToFailure);
+    EXPECT_EQ(looped.extraWrites, inMemory.extraWrites);
+    EXPECT_EQ(looped.remapEvents, inMemory.remapEvents);
+    EXPECT_EQ(looped.failedLine, inMemory.failedLine);
+    EXPECT_EQ(looped.failedCell, inMemory.failedCell);
+    EXPECT_EQ(looped.deadCells, inMemory.deadCells);
+    EXPECT_EQ(looped.maxCellWear, inMemory.maxCellWear);
+    EXPECT_EQ(looped.finalWearCov, inMemory.finalWearCov);
+    EXPECT_EQ(looped.wearCovTimeline, inMemory.wearCovTimeline);
+}
+
 TEST(LifetimeEngineTest, CovTimelineIsBoundedAndSampled)
 {
     const auto res = runToFailure("none", "60:0.2");
@@ -351,6 +457,26 @@ TEST(LifetimeRunner, IdentityLevelerMatchesStockReplayStats)
               rs[0].replay.disturbErrors.mean());
     EXPECT_EQ(rs[1].lifetime.extraWrites, 0u);
     EXPECT_FALSE(rs[1].lifetime.died);
+}
+
+TEST(LifetimeRunner, CappedLifetimeStreamsInsteadOfMaterialising)
+{
+    // A million-record source under a 2 000-write cap: the replay
+    // must pull about what it writes (one replay block of slack),
+    // never the whole stream into memory first.
+    const auto stream = std::make_shared<PullBoundSource>(
+        1000000, 2000 + trace::Replayer::batchLines);
+    runner::ExperimentSpec spec;
+    spec.scheme = "Baseline";
+    spec.source = stream;
+    spec.endurance = wearlevel::parseEndurance("1000000:0:0:2000");
+    spec.lifetime = true;
+    const auto res = runner::runSpecSerial(spec);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_FALSE(res.lifetime.died);
+    EXPECT_EQ(res.lifetime.demandWrites, 2000u);
+    EXPECT_EQ(res.replay.writes, 2000u);
+    EXPECT_EQ(stream->opens(), 1u);
 }
 
 TEST(LifetimeRunner, LifetimeWithoutEnduranceFailsThePoint)

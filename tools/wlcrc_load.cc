@@ -48,7 +48,6 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,7 +57,6 @@
 #include "serve/client.hh"
 #include "tracefile/format.hh"
 #include "tracefile/source.hh"
-#include "trace/workload.hh"
 
 namespace
 {
@@ -101,91 +99,11 @@ struct ConnResult
 };
 
 /**
- * Pull interface over the connection's share of the stream. For the
- * synthesizers this re-derives the full global stream and filters by
- * address residue (the shard idiom); a trace cursor filters the same
- * way inside the reader.
+ * Stream connection @p conn's share of the writes: the records of
+ * @p source whose address residue is @p conn (the shard idiom), or,
+ * with no @p source (--independent), a stream of its own, seeded
+ * childSeed(seed, conn) and shifted into its own address window.
  */
-class StreamSlice
-{
-  public:
-    virtual ~StreamSlice() = default;
-    virtual std::optional<trace::WriteTransaction> next() = 0;
-};
-
-class SynthSlice : public StreamSlice
-{
-  public:
-    SynthSlice(const Options &o, unsigned conn)
-    {
-        if (o.independent) {
-            // Stress mode: own stream, own address window.
-            seedOffset_ = static_cast<uint64_t>(conn) << 32;
-            remaining_ = o.lines / o.connections +
-                         (conn < o.lines % o.connections ? 1 : 0);
-            filter_ = {1, 0};
-            makeSynth(o, childSeed(o.seed, conn));
-        } else {
-            // Partitioned mode: the full global stream, filtered to
-            // this connection's residue class.
-            remaining_ = o.lines;
-            filter_ = {o.connections, conn};
-            makeSynth(o, o.seed);
-        }
-    }
-
-    std::optional<trace::WriteTransaction>
-    next() override
-    {
-        while (remaining_ > 0) {
-            --remaining_;
-            trace::WriteTransaction txn =
-                synth_ ? synth_->next() : random_->next();
-            txn.lineAddr += seedOffset_;
-            if (filter_.accepts(txn.lineAddr))
-                return txn;
-        }
-        return std::nullopt;
-    }
-
-  private:
-    void
-    makeSynth(const Options &o, uint64_t seed)
-    {
-        if (o.random)
-            random_ =
-                std::make_unique<trace::RandomWorkload>(seed);
-        else
-            synth_ = std::make_unique<trace::TraceSynthesizer>(
-                trace::WorkloadProfile::byName(o.workload), seed);
-    }
-
-    std::unique_ptr<trace::TraceSynthesizer> synth_;
-    std::unique_ptr<trace::RandomWorkload> random_;
-    tracefile::ShardFilter filter_;
-    uint64_t remaining_ = 0;
-    uint64_t seedOffset_ = 0;
-};
-
-class CursorSlice : public StreamSlice
-{
-  public:
-    CursorSlice(const tracefile::TransactionSource &source,
-                unsigned connections, unsigned conn)
-        : cursor_(source.open(
-              tracefile::ShardFilter{connections, conn}))
-    {}
-
-    std::optional<trace::WriteTransaction>
-    next() override
-    {
-        return cursor_->next();
-    }
-
-  private:
-    std::unique_ptr<tracefile::TraceCursor> cursor_;
-};
-
 void
 runConnection(const Options &o,
               const tracefile::TransactionSource *source,
@@ -193,12 +111,20 @@ runConnection(const Options &o,
 {
     using clock = std::chrono::steady_clock;
     try {
-        std::unique_ptr<StreamSlice> slice;
-        if (source)
-            slice = std::make_unique<CursorSlice>(
-                *source, o.connections, conn);
-        else
-            slice = std::make_unique<SynthSlice>(o, conn);
+        std::unique_ptr<tracefile::TraceCursor> cursor;
+        uint64_t addrOffset = 0;
+        if (source) {
+            cursor = source->open({o.connections, conn});
+        } else {
+            addrOffset = uint64_t{conn} << 32;
+            const uint64_t lines =
+                o.lines / o.connections +
+                (conn < o.lines % o.connections ? 1 : 0);
+            cursor = tracefile::SynthSource(o.random, o.workload,
+                                            childSeed(o.seed, conn),
+                                            lines)
+                         .open({});
+        }
 
         serve::Client client;
         client.connect(o.host, o.port);
@@ -239,10 +165,8 @@ runConnection(const Options &o,
                 std::this_thread::sleep_until(due);
             }
         };
-        for (;;) {
-            auto txn = slice->next();
-            if (!txn)
-                break;
+        while (auto txn = cursor->next()) {
+            txn->lineAddr += addrOffset;
             frame.push_back(*txn);
             if (frame.size() >= o.frameRecords)
                 flush(false);
@@ -309,6 +233,9 @@ main(int argc, char **argv)
         std::shared_ptr<tracefile::TransactionSource> source;
         if (!o.traceIn.empty())
             source = tracefile::openTraceSource(o.traceIn);
+        else if (!o.independent)
+            source = std::make_shared<tracefile::SynthSource>(
+                o.random, o.workload, o.seed, o.lines);
 
         std::vector<ConnResult> results(o.connections);
         std::vector<std::thread> threads;

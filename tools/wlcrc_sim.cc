@@ -13,10 +13,10 @@
  *                          never loaded whole — so traces larger
  *                          than RAM replay fine
  *   --trace-out <file>     also persist the synthesized trace
- *   --trace-format v1|v2|v3 container written by --trace-out
- *                          (default v1; v3 compresses blocks with
- *                          --trace-codec, default lz; `wlcrc_trace
- *                          convert` re-frames any direction)
+ *   --trace-format v2|v3   container written by --trace-out
+ *                          (default v3, whose blocks are compressed
+ *                          with --trace-codec, default lz; for a v1
+ *                          dump, `wlcrc_trace convert --format v1`)
  *   --trace-codec <C>      v3 block codec: raw, lz or zstd
  *
  * Options:
@@ -116,8 +116,6 @@
 #include "tracefile/block_codec.hh"
 #include "tracefile/source.hh"
 #include "tracefile/writer.hh"
-#include "trace/trace_io.hh"
-#include "trace/workload.hh"
 #include "wearlevel/config.hh"
 
 namespace
@@ -131,7 +129,7 @@ struct Options
     std::string workload;
     std::string traceIn;
     std::string traceOut;
-    std::string traceFormat = "v1";
+    std::string traceFormat = "v3";
     std::string traceCodec;
     std::string partition = "modulo";
     uint64_t decodeAhead = 0;
@@ -162,7 +160,7 @@ struct Options
 const char *const kUsage =
     "usage: wlcrc_sim [--scheme S]... (--workload W | --random | "
     "--trace-in F)\n"
-    "          [--trace-out F] [--trace-format v1|v2|v3] "
+    "          [--trace-out F] [--trace-format v2|v3] "
     "[--trace-codec raw|lz|zstd]\n"
     "          [--lines N] [--seed S] [--jobs N] [--shards N] "
     "[--partition modulo|range] [--decode-ahead N]\n"
@@ -184,7 +182,7 @@ declare(CommandLine &cl, Options &o)
         .text("--workload", o.workload)
         .text("--trace-in", o.traceIn)
         .text("--trace-out", o.traceOut)
-        .choice("--trace-format", o.traceFormat, {"v1", "v2", "v3"})
+        .choice("--trace-format", o.traceFormat, {"v2", "v3"})
         .text("--trace-codec", o.traceCodec)
         .choice("--partition", o.partition, {"modulo", "range"})
         .uint("--decode-ahead", o.decodeAhead)
@@ -251,37 +249,27 @@ check(const CommandLine &cl, Options &o)
 }
 
 /**
- * Persist the synthesized stream for --trace-out, as a legacy
- * WLCTRC01 dump or an indexed WLCTRC02/03 container. This only writes
- * the file; the runner synthesizes the identical stream from the
- * seed on its own, so the reported source stays the workload name.
+ * Persist the synthesized stream for --trace-out as an indexed
+ * WLCTRC02/03 container. This only writes the file; the runner
+ * synthesizes the identical stream from the seed on its own, so the
+ * reported source stays the workload name.
  */
 void
 persistTrace(const Options &o)
 {
-    auto emit = [&](auto &&write) {
-        trace::synthesize(o.random, o.workload, o.seed, o.lines, write);
-    };
-    if (o.traceFormat == "v2" || o.traceFormat == "v3") {
-        tracefile::WriterOptions wopts;
-        if (o.traceFormat == "v3") {
-            wopts.format = tracefile::TraceFormat::v3;
-            if (!o.traceCodec.empty())
-                wopts.codec =
-                    tracefile::parseCodecName(o.traceCodec);
-        }
-        tracefile::TraceFileWriter writer(o.traceOut, wopts);
-        emit([&](const trace::WriteTransaction &t) {
-            writer.write(t);
-        });
-        writer.close();
-    } else {
-        trace::TraceWriter writer(o.traceOut);
-        emit([&](const trace::WriteTransaction &t) {
-            writer.write(t);
-        });
-        writer.close();
+    tracefile::WriterOptions wopts;
+    if (o.traceFormat == "v3") {
+        wopts.format = tracefile::TraceFormat::v3;
+        if (!o.traceCodec.empty())
+            wopts.codec = tracefile::parseCodecName(o.traceCodec);
     }
+    tracefile::TraceFileWriter writer(o.traceOut, wopts);
+    auto cursor =
+        tracefile::SynthSource(o.random, o.workload, o.seed, o.lines)
+            .open({});
+    while (auto t = cursor->next())
+        writer.write(*t);
+    writer.close();
 }
 
 /**

@@ -43,7 +43,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -207,30 +207,19 @@ declare(CommandLine &cl, const std::string &cmd, Args &a)
 int
 cmdGenerate(const Args &a)
 {
-    std::function<trace::WriteTransaction()> draw;
-    std::string what;
-    std::optional<trace::TraceSynthesizer> synth;
-    std::optional<trace::MixedSynthesizer> mixed;
-    std::optional<trace::RandomWorkload> random;
-    if (!a.workload.empty()) {
-        synth.emplace(trace::WorkloadProfile::byName(a.workload),
-                      a.seed);
-        draw = [&] { return synth->next(); };
-        what = "workload " + a.workload;
-    } else if (!a.mix.empty()) {
-        mixed.emplace(a.programs, a.seed);
-        draw = [&] { return mixed->next(); };
-        what = "blend " + a.mix;
-    } else {
-        random.emplace(a.seed);
-        draw = [&] { return random->next(); };
-        what = "random data";
-    }
-
+    const auto source =
+        a.mix.empty() ? std::make_unique<tracefile::SynthSource>(
+                            a.random, a.workload, a.seed, a.lines)
+                      : std::make_unique<tracefile::SynthSource>(
+                            a.programs, a.seed, a.lines);
     AnyWriter writer(a.out, a.format, a.blockRecords, a.codec);
-    for (uint64_t i = 0; i < a.lines; ++i)
-        writer.write(draw());
+    auto cursor = source->open({});
+    while (auto t = cursor->next())
+        writer.write(*t);
     const uint64_t written = writer.close();
+    const std::string what = !a.mix.empty() ? "blend " + a.mix
+                             : a.random     ? "random data"
+                                            : "workload " + a.workload;
     std::printf("wrote %llu records of %s to %s\n",
                 static_cast<unsigned long long>(written),
                 what.c_str(), a.out.c_str());
