@@ -1,9 +1,11 @@
 /**
  * @file
  * Trace-store I/O benchmark: compression ratio, block decode
- * bandwidth, cold replay throughput with synchronous vs decode-ahead
- * block staging, and the index-pruning win of range-sharded replay
- * over a sorted corpus.
+ * bandwidth (verify plus decompress, and the LZ decoder alone), the
+ * CRC-32 kernel's speed-up over the scalar table loop, cold replay
+ * throughput with synchronous vs decode-ahead block staging, and
+ * the index-pruning win of range-sharded replay over a sorted
+ * corpus.
  *
  * Corpus: one low-write-intensity synthesized stream (libq — the
  * suite's most compressible profile) written four ways: WLCTRC02,
@@ -14,8 +16,12 @@
  * Gates (exit 1): the sorted corpus must compress at least 5x and
  * range-sharded replay must visit fewer blocks than modulo replay of
  * the unsorted one. Both are deterministic, so they hold on any
- * machine. Throughput is only reported: across commits, it is gated
- * by perfbench's trace-replay workload under scripts/perf_gate.sh.
+ * machine. When the active SIMD kernel has a CRC-32 kernel of its
+ * own, it must checksum one buffer at least 4x as fast as the
+ * scalar table loop in the same run (a same-run ratio; under a
+ * kernel without one, a note is printed instead). Throughput is
+ * only reported: across commits, it is gated by perfbench's
+ * trace-replay workload under scripts/perf_gate.sh.
  *
  * Knobs (on top of the usual WLCRC_BENCH_* set; the bench takes no
  * arguments):
@@ -37,6 +43,8 @@
 
 #include "bench_common.hh"
 #include "common/csv.hh"
+#include "common/lz.hh"
+#include "common/simd.hh"
 #include "pcm/disturbance.hh"
 #include "pcm/energy_model.hh"
 #include "tracefile/mapped_trace.hh"
@@ -91,6 +99,73 @@ decodeMbPerSec(const std::string &path, unsigned passes)
         const double mb = static_cast<double>(records) *
                           tracefile::recordBytes / 1e6;
         best = std::max(best, secs > 0 ? mb / secs : 0.0);
+    }
+    return best;
+}
+
+/** LZ decoder bandwidth over the file's lz blocks, MB/s of output. */
+double
+lzDecodeMbPerSec(const std::string &path, unsigned passes)
+{
+    const tracefile::MappedTrace trace(path);
+    std::vector<uint8_t> out(std::size_t{trace.recordsPerBlock()} *
+                             tracefile::recordBytes);
+    double best = 0;
+    for (unsigned p = 0; p < passes; ++p) {
+        std::size_t bytes = 0;
+        const auto start = std::chrono::steady_clock::now();
+        for (uint64_t b = 0; b < trace.blockCount(); ++b) {
+            const auto &info = trace.blockInfo(b);
+            if (info.codec == tracefile::BlockCodec::lz)
+                bytes += lzDecompress(trace.storedData(b),
+                                      info.storedBytes, out.data(),
+                                      out.size());
+        }
+        const double secs = secondsSince(start);
+        best = std::max(best, secs > 0 ? bytes / 1e6 / secs : 0.0);
+    }
+    return best;
+}
+
+/** Best-of-rounds CRC-32 bandwidth of two kernels on one buffer. */
+struct CrcSpeeds
+{
+    double scalarGbs = 0;
+    double activeGbs = 0;
+};
+
+CrcSpeeds
+crcSpeeds(const simd::Ops &scalar, const simd::Ops &active)
+{
+    // 256 KiB stays in L2, so both sides time the arithmetic, not
+    // memory. Rounds alternate the two sides.
+    constexpr std::size_t len = 256 * 1024;
+    std::vector<uint8_t> storage(len + 16);
+    uint8_t *buf = storage.data() +
+                   (16 - reinterpret_cast<std::uintptr_t>(
+                             storage.data()) % 16) % 16;
+    uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (std::size_t i = 0; i < len; ++i) {
+        x ^= x << 13, x ^= x >> 7, x ^= x << 17;
+        buf[i] = static_cast<uint8_t>(x);
+    }
+    const auto gbPerSec = [&](const simd::Ops &ops, unsigned reps,
+                              uint32_t &crc) {
+        const auto start = std::chrono::steady_clock::now();
+        for (unsigned r = 0; r < reps; ++r)
+            crc = ops.crc32(crc, buf, len);
+        const double secs = secondsSince(start);
+        return secs > 0 ? reps * (len / 1e9) / secs : 0.0;
+    };
+    CrcSpeeds best;
+    for (unsigned round = 0; round < 15; ++round) {
+        uint32_t a = 0;
+        uint32_t b = 0;
+        best.scalarGbs = std::max(best.scalarGbs, gbPerSec(scalar, 4, a));
+        best.activeGbs = std::max(best.activeGbs, gbPerSec(active, 4, b));
+        if (a != b)
+            throw std::runtime_error(
+                "CRC-32 kernel disagrees with the scalar table loop");
     }
     return best;
 }
@@ -214,6 +289,15 @@ main(int argc, char **argv)
         const double ratioSorted = ratioOf(soV3);
 
         const double decodeMbs = decodeMbPerSec(soV3, passes);
+        const double lzMbs = lzDecodeMbPerSec(soV3, passes);
+        const simd::Ops &scalarOps = simd::opsFor(simd::Kernel::Scalar);
+        const simd::Ops &activeOps = simd::ops();
+        // A kernel family without a CRC-32 kernel of its own (NEON
+        // built without the CRC extension) points at the scalar one.
+        const bool crcKernel = activeOps.crc32 != scalarOps.crc32;
+        const CrcSpeeds crc = crcSpeeds(scalarOps, activeOps);
+        const double crcSpeedup =
+            crc.scalarGbs > 0 ? crc.activeGbs / crc.scalarGbs : 0;
         double syncEnergy = 0, aheadEnergy = 0;
         const double syncWps =
             replayWritesPerSec(soV3, 0, passes, &syncEnergy);
@@ -247,11 +331,16 @@ main(int argc, char **argv)
                      "replay throughput\n"
                   << "# lines=" << lines << " raw_mb=" << rawMb
                   << " cpus=" << cpus << " shards=" << shards
-                  << " decode_ahead=" << aheadDepth << "\n";
+                  << " decode_ahead=" << aheadDepth << " simd="
+                  << simd::kernelName(simd::activeKernel()) << "\n";
         CsvTable table({"metric", "value"});
         table.addRow("compression_ratio_unsorted", ratioUnsorted);
         table.addRow("compression_ratio_sorted", ratioSorted);
         table.addRow("decode_mb_per_sec", decodeMbs);
+        table.addRow("lz_decode_mb_per_sec", lzMbs);
+        table.addRow("crc32_scalar_gb_per_sec", crc.scalarGbs);
+        table.addRow("crc32_active_gb_per_sec", crc.activeGbs);
+        table.addRow("crc32_speedup", crcSpeedup);
         table.addRow("replay_sync_writes_per_sec", syncWps);
         table.addRow("replay_ahead_writes_per_sec", aheadWps);
         table.addRow("decode_ahead_speedup", speedup);
@@ -283,6 +372,24 @@ main(int argc, char **argv)
                              rangeVisited),
                          static_cast<unsigned long long>(
                              moduloVisited));
+            ++failures;
+        }
+        // A same-run ratio, so it holds across machines: carry-less
+        // multiply folding runs several times faster than any table
+        // loop on every CPU that has it.
+        const double crcFloor = 4.0;
+        if (!crcKernel) {
+            std::fprintf(stderr,
+                         "note: CRC-32 floor %.1fx skipped — the %s "
+                         "kernel has no CRC-32 kernel of its own\n",
+                         crcFloor,
+                         simd::kernelName(simd::activeKernel()));
+        } else if (crcSpeedup < crcFloor) {
+            std::fprintf(stderr,
+                         "CRC-32 REGRESSION: %s kernel %.2fx the "
+                         "scalar table loop < floor %.1fx\n",
+                         simd::kernelName(simd::activeKernel()),
+                         crcSpeedup, crcFloor);
             ++failures;
         }
         if (aheadFloor > 0) {

@@ -93,6 +93,50 @@ emitSequence(Sink &out, const uint8_t *lit, std::size_t litLen,
         out.putExtent(matchCode);
 }
 
+/** Output room a wide match copy needs past its @p len bytes. */
+inline std::size_t
+wideMargin(std::size_t offset)
+{
+    return offset >= 8 && offset < 16 ? 8 : 32;
+}
+
+/**
+ * Copy a match of @p len bytes from @p offset (>= 2) bytes back,
+ * when the output has at least len + wideMargin(offset) bytes of
+ * room past @p dst. The wide stores may run past the match; those
+ * bytes are rewritten by the next sequence or lie past the decoded
+ * end.
+ */
+inline void
+copyMatchWide(uint8_t *dst, std::size_t offset, std::size_t len)
+{
+    const uint8_t *from = dst - offset;
+    if (offset >= 16) {
+        // Each 16-byte chunk reads bytes already final: the source
+        // chunk ends at or before the destination chunk's start.
+        // Most matches are 32 bytes or shorter, so the first two
+        // chunks are copied without a loop branch.
+        std::memcpy(dst, from, 16);
+        std::memcpy(dst + 16, from + 16, 16);
+        for (std::size_t i = 32; i < len; i += 16)
+            std::memcpy(dst + i, from + i, 16);
+    } else if (offset >= 8) {
+        for (std::size_t i = 0; i < len; i += 8)
+            std::memcpy(dst + i, from + i, 8);
+    } else {
+        // Offsets 2..7: the output repeats the offset-byte period.
+        // Expand it into 16 bytes and store that at every multiple of
+        // the period that fits in 16 (14 for 7, 15 for 5, ...).
+        uint8_t pattern[16];
+        std::memcpy(pattern, from, offset);
+        for (std::size_t i = offset; i < 16; ++i)
+            pattern[i] = pattern[i - offset];
+        const std::size_t step = 16 - 16 % offset;
+        for (std::size_t i = 0; i < len; i += step)
+            std::memcpy(dst + i, pattern, 16);
+    }
+}
+
 } // namespace
 
 std::size_t
@@ -201,6 +245,11 @@ lzDecompress(const uint8_t *src, std::size_t srcLen, uint8_t *dst,
         return v;
     };
 
+    // The fast paths copy fixed 8- or 16-byte chunks and may store
+    // past the bytes they produce, never past dstCap; every bound
+    // check runs first, and a copy without the room takes the exact
+    // path instead.
+    constexpr std::size_t wide = 16;
     while (ip < srcLen) {
         const uint8_t token = src[ip++];
         std::size_t lit = token >> 4;
@@ -212,11 +261,19 @@ lzDecompress(const uint8_t *src, std::size_t srcLen, uint8_t *dst,
         if (lit > dstCap - op)
             throw std::runtime_error(
                 "lz: output overflow (literal run)");
-        std::memcpy(dst + op, src + ip, lit);
+        if (lit <= wide && srcLen - ip >= wide && dstCap - op >= wide)
+            std::memcpy(dst + op, src + ip, wide);
+        else
+            std::memcpy(dst + op, src + ip, lit);
         ip += lit;
         op += lit;
-        if (ip == srcLen)
-            break; // literals-only tail sequence
+        if (ip == srcLen) {
+            // A literals-only tail sequence carries match nibble 0;
+            // any other nibble announced a match the input lacks.
+            if (token & 0xf)
+                throw std::runtime_error("lz: truncated match offset");
+            break;
+        }
         if (srcLen - ip < 2)
             throw std::runtime_error("lz: truncated match offset");
         const std::size_t offset =
@@ -232,12 +289,18 @@ lzDecompress(const uint8_t *src, std::size_t srcLen, uint8_t *dst,
         if (matchLen > dstCap - op)
             throw std::runtime_error(
                 "lz: output overflow (match copy)");
-        const uint8_t *from = dst + op - offset;
-        if (offset >= matchLen) {
-            std::memcpy(dst + op, from, matchLen);
+        if (offset == 1) {
+            std::memset(dst + op, dst[op - 1], matchLen);
+        } else if (dstCap - op - matchLen >= wideMargin(offset)) {
+            copyMatchWide(dst + op, offset, matchLen);
         } else {
-            for (std::size_t i = 0; i < matchLen; ++i)
-                dst[op + i] = from[i]; // overlapped: byte-serial
+            const uint8_t *from = dst + op - offset;
+            if (offset >= matchLen) {
+                std::memcpy(dst + op, from, matchLen);
+            } else {
+                for (std::size_t i = 0; i < matchLen; ++i)
+                    dst[op + i] = from[i]; // overlapped: byte-serial
+            }
         }
         op += matchLen;
     }

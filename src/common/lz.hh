@@ -7,9 +7,9 @@
  * 255-continued), the literal bytes, then a 2-byte little-endian
  * match offset into the previously decoded output (64 KiB window)
  * and the extended match length. The final sequence may be
- * literals-only (input ends after the literal run). Minimum match
- * length is 4 bytes; offsets are 1-based and must stay inside the
- * bytes already produced.
+ * literals-only: the input ends after its literal run, and its match
+ * nibble is 0. Minimum match length is 4 bytes; offsets are 1-based
+ * and must stay inside the bytes already produced.
  *
  * Trace blocks are runs of 136-byte records whose address and data
  * words repeat heavily on biased workloads, so even this greedy
@@ -62,7 +62,9 @@ std::size_t lzCompress(const uint8_t *src, std::size_t srcLen,
                        LzScratch *scratch = nullptr);
 
 /**
- * Decompress @p src[0..srcLen) into @p dst[0..dstCap).
+ * Decompress @p src[0..srcLen) into @p dst[0..dstCap). Bytes of
+ * @p dst past the returned count may be overwritten too (the wide
+ * copies store whole 8- and 16-byte chunks), never past @p dstCap.
  * @return the number of bytes produced (<= dstCap).
  * @throws std::runtime_error on any malformed input: truncated
  * runs, offsets outside the decoded window, or output overflowing

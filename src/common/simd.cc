@@ -1,5 +1,6 @@
 #include "simd.hh"
 
+#include <array>
 #include <bit>
 #include <cstdlib>
 #include <cstring>
@@ -103,6 +104,61 @@ scalarProgramCensus(const uint8_t *stored, const uint8_t *target,
 namespace
 {
 
+/**
+ * Slice-by-8 tables: tables[0] is the classic bytewise table, and
+ * tables[k][b] is the CRC register after byte b then k zero bytes, so
+ * eight lookups, one per byte, advance the CRC by a whole 8-byte word.
+ */
+constexpr std::array<std::array<uint32_t, 256>, 8>
+makeCrcTables()
+{
+    std::array<std::array<uint32_t, 256>, 8> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+        uint32_t c = i;
+        for (int bit = 0; bit < 8; ++bit)
+            c = (c >> 1) ^ ((c & 1) ? 0xedb88320u : 0u);
+        t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i)
+        for (std::size_t k = 1; k < 8; ++k)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+    return t;
+}
+
+constexpr auto crcTables = makeCrcTables();
+
+} // namespace
+
+namespace detail
+{
+
+uint32_t
+scalarCrc32(uint32_t reg, const uint8_t *p, std::size_t len)
+{
+    const auto &t = crcTables;
+    uint32_t c = reg;
+    for (; len >= 8; p += 8, len -= 8) {
+        // Assembled byte by byte, so the result does not depend on
+        // host byte order; compilers fuse this into one load.
+        uint8_t b[8];
+        std::memcpy(b, p, 8);
+        const uint32_t lo =
+            c ^ (uint32_t{b[0]} | uint32_t{b[1]} << 8 |
+                 uint32_t{b[2]} << 16 | uint32_t{b[3]} << 24);
+        c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+            t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^ t[3][b[4]] ^
+            t[2][b[5]] ^ t[1][b[6]] ^ t[0][b[7]];
+    }
+    for (; len; ++p, --len)
+        c = t[0][(c ^ *p) & 0xff] ^ (c >> 8);
+    return c;
+}
+
+} // namespace detail
+
+namespace
+{
+
 void
 scalarMapSymbols(uint64_t word, const uint8_t *map4, unsigned lo,
                  unsigned hi, uint8_t *out)
@@ -159,15 +215,16 @@ scalarMapBlocks(uint64_t word, const uint8_t *const *tables,
 constexpr Ops scalarOps = {detail::scalarProgramCensus,
                            scalarMapSymbols, scalarAccumRows4,
                            scalarAccumRows8, scalarAccumBlocks4,
-                           scalarMapBlocks};
+                           scalarMapBlocks, detail::scalarCrc32};
 
 bool
 cpuHasAvx2()
 {
 #if defined(__x86_64__) || defined(_M_X64)
-    // simd_avx2.cc is also built with -mpopcnt.
+    // simd_avx2.cc is also built with -mpopcnt -mpclmul.
     return __builtin_cpu_supports("avx2") &&
-           __builtin_cpu_supports("popcnt");
+           __builtin_cpu_supports("popcnt") &&
+           __builtin_cpu_supports("pclmul");
 #else
     return false;
 #endif

@@ -1,13 +1,16 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernels for the encode hot path.
+ * Runtime-dispatched SIMD kernels for the encode hot path and the
+ * trace checksum.
  *
  * Three inner loops dominate LineCodec::encodeInto and the
- * differential write (see docs/simd.md):
+ * differential write, and one dominates trace-block verification
+ * (see docs/simd.md):
  *  - the differential-write census (which cells changed, and how
  *    many of them go to each target state),
  *  - per-candidate symbol mapping (2-bit symbols -> cell states),
- *  - cost-row candidate scoring (per-cell 4/8-lane double adds).
+ *  - cost-row candidate scoring (per-cell 4/8-lane double adds),
+ *  - the CRC-32 of trace blocks, indexes and digests.
  *
  * Each loop is exposed here as a kernel in an Ops table with three
  * implementations: a scalar reference (always compiled, always the
@@ -28,6 +31,7 @@
 #define WLCRC_COMMON_SIMD_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -119,6 +123,18 @@ struct Ops
     void (*mapBlocks)(uint64_t word, const uint8_t *const *tables,
                       const uint8_t *lo, const uint8_t *hi,
                       unsigned nblocks, uint8_t *out);
+
+    /**
+     * CRC-32 register update (IEEE 802.3, reflected polynomial
+     * 0xEDB88320): @p reg advanced by the @p len bytes at @p data.
+     * The register is the raw one, without the pre- and
+     * post-inversion that wlcrc::crc32() applies. @p data is 16-byte
+     * aligned and @p len is a multiple of 16, at least 64 — the
+     * bulk that wlcrc::crc32() hands over; its head and tail go
+     * through detail::scalarCrc32.
+     */
+    uint32_t (*crc32)(uint32_t reg, const uint8_t *data,
+                      std::size_t len);
 };
 
 /**
@@ -180,6 +196,11 @@ namespace detail
 void scalarProgramCensus(const uint8_t *stored, const uint8_t *target,
                          const uint64_t *auxWords, unsigned n,
                          uint64_t *diff, uint32_t counts[2][4]);
+
+/** The scalar slice-by-8 CRC-32 register update: the reference for
+ *  Ops::crc32, valid at any length and alignment. */
+uint32_t scalarCrc32(uint32_t reg, const uint8_t *data,
+                     std::size_t len);
 
 /** Active table; null until first resolution. */
 extern std::atomic<const Ops *> activeOps;

@@ -1,14 +1,16 @@
 /**
  * @file
  * AVX2 implementations of the simd.hh kernels. This translation unit
- * is compiled with -mavx2 -mpopcnt on x86-64 (see CMakeLists.txt)
- * while the rest of the library stays at the baseline ISA; dispatch
- * guarantees the functions here only run on CPUs reporting both.
+ * is compiled with -mavx2 -mpopcnt -mpclmul on x86-64 (see
+ * CMakeLists.txt) while the rest of the library stays at the
+ * baseline ISA; dispatch guarantees the functions here only run on
+ * CPUs reporting all three.
  *
- * Bit-identity: mapSymbolsAvx2/programCensusAvx2 are pure integer
- * transforms; accumRows4/8 add the same doubles in the same cell
- * order as the scalar reference (vaddpd is four independent per-lane
- * adds), so every kernel reproduces the scalar results exactly.
+ * Bit-identity: mapSymbolsAvx2/programCensusAvx2 and crc32Avx2 are
+ * pure integer transforms; accumRows4/8 add the same doubles in the
+ * same cell order as the scalar reference (vaddpd is four
+ * independent per-lane adds), so every kernel reproduces the scalar
+ * results exactly.
  */
 
 #include "simd.hh"
@@ -243,9 +245,86 @@ mapBlocksAvx2(uint64_t word, const uint8_t *const *tables,
     }
 }
 
+/**
+ * One carry-less fold: the 128 bits of @p acc, multiplied forward
+ * by the distance that @p k encodes (low qword times k.lo, high
+ * qword times k.hi), added to @p next.
+ */
+inline __m128i
+fold(__m128i acc, __m128i k, __m128i next)
+{
+    return _mm_xor_si128(
+        _mm_xor_si128(_mm_clmulepi64_si128(acc, k, 0x00),
+                      _mm_clmulepi64_si128(acc, k, 0x11)),
+        next);
+}
+
+/**
+ * CRC-32 by PCLMULQDQ folding (Gopal et al., "Fast CRC Computation
+ * for Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009),
+ * bit-reflected constants for 0xEDB88320. Four 128-bit accumulators
+ * fold 64 bytes per step, then collapse into one, which folds the
+ * remaining 16-byte blocks, shrinks to 64 and then 32 bits, and ends
+ * in a Barrett reduction. The result equals the slice-by-8 loop's
+ * register exactly: both compute the polynomial remainder.
+ */
+uint32_t
+crc32Avx2(uint32_t reg, const uint8_t *p, std::size_t len)
+{
+    // x^(512+32) and x^(512-32) mod P: fold across 4 x 128 bits.
+    const __m128i k1k2 =
+        _mm_set_epi64x(0x01c6e41596ll, 0x0154442bd4ll);
+    // x^(128+32) and x^(128-32) mod P: fold across 128 bits.
+    const __m128i k3k4 =
+        _mm_set_epi64x(0x00ccaa009ell, 0x01751997d0ll);
+    // x^64 mod P: fold 64 bits down to 32.
+    const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124ll);
+    // Barrett: P' (x^32 + reflected P) and mu = floor(x^64 / P).
+    const __m128i poly =
+        _mm_set_epi64x(0x01f7011641ll, 0x01db710641ll);
+    const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+    const auto load = [](const uint8_t *q) {
+        return _mm_load_si128(reinterpret_cast<const __m128i *>(q));
+    };
+    __m128i x0 = _mm_xor_si128(
+        load(p), _mm_cvtsi32_si128(static_cast<int>(reg)));
+    __m128i x1 = load(p + 16);
+    __m128i x2 = load(p + 32);
+    __m128i x3 = load(p + 48);
+    p += 64;
+    len -= 64;
+    for (; len >= 64; p += 64, len -= 64) {
+        x0 = fold(x0, k1k2, load(p));
+        x1 = fold(x1, k1k2, load(p + 16));
+        x2 = fold(x2, k1k2, load(p + 32));
+        x3 = fold(x3, k1k2, load(p + 48));
+    }
+    x0 = fold(x0, k3k4, x1);
+    x0 = fold(x0, k3k4, x2);
+    x0 = fold(x0, k3k4, x3);
+    for (; len >= 16; p += 16, len -= 16)
+        x0 = fold(x0, k3k4, load(p));
+
+    // 128 -> 64 bits: the low qword times x^(128-32) mod P, added to
+    // the high qword.
+    x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                       _mm_clmulepi64_si128(x0, k3k4, 0x10));
+    // 64 -> 32 bits.
+    x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                       _mm_clmulepi64_si128(
+                           _mm_and_si128(x0, low32), k5, 0x00));
+    // Barrett reduction to the 32-bit remainder.
+    __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly,
+                                     0x10);
+    t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+    return static_cast<uint32_t>(
+        _mm_extract_epi32(_mm_xor_si128(x0, t), 1));
+}
+
 constexpr Ops avx2Ops = {programCensusAvx2, mapSymbolsAvx2,
                          accumRows4Avx2, accumRows8Avx2,
-                         accumBlocks4Avx2, mapBlocksAvx2};
+                         accumBlocks4Avx2, mapBlocksAvx2, crc32Avx2};
 
 } // namespace
 

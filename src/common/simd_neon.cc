@@ -7,6 +7,9 @@
  * Bit-identity contract as in simd_avx2.cc: integer kernels are
  * exact, and the accumulation kernels issue per-lane vaddq_f64 adds
  * in scalar cell order, so sums match the scalar reference exactly.
+ * The CRC-32 kernel uses the ARMv8 CRC32 instructions where the
+ * build targets them (__ARM_FEATURE_CRC32, e.g. -march=armv8.1-a),
+ * and the scalar table loop elsewhere.
  */
 
 #include "simd.hh"
@@ -15,6 +18,10 @@
 
 #include <arm_neon.h>
 #include <cstring>
+
+#if defined(__ARM_FEATURE_CRC32)
+#include <arm_acle.h>
+#endif
 
 namespace wlcrc::simd
 {
@@ -141,10 +148,26 @@ mapBlocksNeon(uint64_t word, const uint8_t *const *tables,
     std::memcpy(out + a, tmp + a, z - a + 1);
 }
 
+#if defined(__ARM_FEATURE_CRC32)
+/** CRC-32 register update, one crc32x instruction per 8 bytes. */
+uint32_t
+crc32Neon(uint32_t reg, const uint8_t *p, std::size_t len)
+{
+    for (; len >= 8; p += 8, len -= 8) {
+        uint64_t w;
+        std::memcpy(&w, p, 8); // aarch64 Linux is little-endian
+        reg = __crc32d(reg, w);
+    }
+    return reg; // len is a multiple of 16: nothing is left
+}
+#else
+constexpr auto crc32Neon = detail::scalarCrc32;
+#endif
+
 // The census has no NEON kernel: it runs the scalar SWAR one.
 constexpr Ops neonOps = {detail::scalarProgramCensus, mapSymbolsNeon,
                          accumRows4Neon, accumRows8Neon,
-                         accumBlocks4Neon, mapBlocksNeon};
+                         accumBlocks4Neon, mapBlocksNeon, crc32Neon};
 
 } // namespace
 

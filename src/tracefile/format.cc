@@ -7,61 +7,6 @@
 namespace wlcrc::tracefile
 {
 
-void
-putLe32(uint8_t *dst, uint32_t v)
-{
-    for (unsigned i = 0; i < 4; ++i)
-        dst[i] = static_cast<uint8_t>((v >> (8 * i)) & 0xff);
-}
-
-void
-putLe64(uint8_t *dst, uint64_t v)
-{
-    for (unsigned i = 0; i < 8; ++i)
-        dst[i] = static_cast<uint8_t>((v >> (8 * i)) & 0xff);
-}
-
-uint32_t
-getLe32(const uint8_t *src)
-{
-    uint32_t v = 0;
-    for (unsigned i = 0; i < 4; ++i)
-        v |= uint32_t{src[i]} << (8 * i);
-    return v;
-}
-
-uint64_t
-getLe64(const uint8_t *src)
-{
-    uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= uint64_t{src[i]} << (8 * i);
-    return v;
-}
-
-void
-encodeRecord(uint8_t *dst, const trace::WriteTransaction &txn)
-{
-    putLe64(dst, txn.lineAddr);
-    for (unsigned w = 0; w < lineWords; ++w)
-        putLe64(dst + 8 + 8 * w, txn.oldData.word(w));
-    for (unsigned w = 0; w < lineWords; ++w)
-        putLe64(dst + 8 + 8 * (lineWords + w), txn.newData.word(w));
-}
-
-trace::WriteTransaction
-decodeRecord(const uint8_t *src)
-{
-    trace::WriteTransaction txn;
-    txn.lineAddr = getLe64(src);
-    for (unsigned w = 0; w < lineWords; ++w)
-        txn.oldData.setWord(w, getLe64(src + 8 + 8 * w));
-    for (unsigned w = 0; w < lineWords; ++w)
-        txn.newData.setWord(w,
-                            getLe64(src + 8 + 8 * (lineWords + w)));
-    return txn;
-}
-
 bool
 rangeHasResidue(uint64_t minAddr, uint64_t maxAddr, unsigned mod,
                 unsigned residue)

@@ -48,7 +48,9 @@
 #ifndef WLCRC_TRACEFILE_FORMAT_HH
 #define WLCRC_TRACEFILE_FORMAT_HH
 
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "trace/transaction.hh"
@@ -115,16 +117,70 @@ struct BlockInfo
 };
 
 // Little-endian scalar accessors on raw buffers. The container is
-// byte-order-pinned like WLCTRC01, so files are portable.
-void putLe32(uint8_t *dst, uint32_t v);
-void putLe64(uint8_t *dst, uint64_t v);
-uint32_t getLe32(const uint8_t *src);
-uint64_t getLe64(const uint8_t *src);
+// byte-order-pinned like WLCTRC01, so files are portable. Values are
+// assembled byte by byte, so the result does not depend on host byte
+// order; compilers fuse each into one load or store. They are inline
+// because every replayed record passes through them.
+
+inline void
+putLe32(uint8_t *dst, uint32_t v)
+{
+    dst[0] = static_cast<uint8_t>(v);
+    dst[1] = static_cast<uint8_t>(v >> 8);
+    dst[2] = static_cast<uint8_t>(v >> 16);
+    dst[3] = static_cast<uint8_t>(v >> 24);
+}
+
+inline void
+putLe64(uint8_t *dst, uint64_t v)
+{
+    putLe32(dst, static_cast<uint32_t>(v));
+    putLe32(dst + 4, static_cast<uint32_t>(v >> 32));
+}
+
+inline uint32_t
+getLe32(const uint8_t *src)
+{
+    uint8_t b[4];
+    std::memcpy(b, src, 4);
+    return uint32_t{b[0]} | uint32_t{b[1]} << 8 |
+           uint32_t{b[2]} << 16 | uint32_t{b[3]} << 24;
+}
+
+inline uint64_t
+getLe64(const uint8_t *src)
+{
+    uint8_t b[8];
+    std::memcpy(b, src, 8);
+    return uint64_t{b[0]} | uint64_t{b[1]} << 8 | uint64_t{b[2]} << 16 |
+           uint64_t{b[3]} << 24 | uint64_t{b[4]} << 32 |
+           uint64_t{b[5]} << 40 | uint64_t{b[6]} << 48 |
+           uint64_t{b[7]} << 56;
+}
 
 /** Serialize @p txn into @p dst (recordBytes bytes). */
-void encodeRecord(uint8_t *dst, const trace::WriteTransaction &txn);
+inline void
+encodeRecord(uint8_t *dst, const trace::WriteTransaction &txn)
+{
+    putLe64(dst, txn.lineAddr);
+    for (unsigned w = 0; w < lineWords; ++w)
+        putLe64(dst + 8 + 8 * w, txn.oldData.word(w));
+    for (unsigned w = 0; w < lineWords; ++w)
+        putLe64(dst + 8 + 8 * (lineWords + w), txn.newData.word(w));
+}
+
 /** Decode a record serialized by encodeRecord(). */
-trace::WriteTransaction decodeRecord(const uint8_t *src);
+inline trace::WriteTransaction
+decodeRecord(const uint8_t *src)
+{
+    std::array<uint64_t, lineWords> oldWords;
+    std::array<uint64_t, lineWords> newWords;
+    for (unsigned w = 0; w < lineWords; ++w) {
+        oldWords[w] = getLe64(src + 8 + 8 * w);
+        newWords[w] = getLe64(src + 8 + 8 * (lineWords + w));
+    }
+    return {getLe64(src), Line512(oldWords), Line512(newWords)};
+}
 
 /**
  * @return true if [minAddr, maxAddr] contains an address congruent

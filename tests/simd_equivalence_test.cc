@@ -12,7 +12,9 @@
  *    and mapSymbols / accumRows4 / accumRows8 of every available
  *    kernel against the scalar table, over randomized inputs and the
  *    edge geometries (partial last word, single-cell ranges, range
- *    ends at 31).
+ *    ends at 31); the CRC-32 kernel against the scalar table loop,
+ *    directly and through crc32() at every length, alignment and
+ *    chained split.
  *
  * 2. Codec level: every scheme x energy model x kernel over
  *    randomized and adversarial lines (all-zero, all-ones/aux-heavy,
@@ -40,6 +42,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/crc32.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "coset/codec.hh"
@@ -419,6 +422,80 @@ TEST(SimdKernels, MapBlocksMatchesComposedMapSymbols)
                                      got.size()))
                 << simd::kernelName(k) << " round " << round << " ["
                 << a << "," << z << "] nblocks=" << nblocks;
+        }
+    }
+}
+
+// ---------------------------------------------------- crc32 kernel
+
+/** The scalar table loop's CRC-32, inverted like crc32() itself:
+ *  what crc32() must return under every kernel. */
+uint32_t
+scalarCrc(const uint8_t *p, std::size_t len, uint32_t seed = 0)
+{
+    return simd::opsFor(Kernel::Scalar).crc32(~seed, p, len) ^
+           0xffffffffu;
+}
+
+TEST(SimdEquivalence, Crc32EveryKernelMatchesScalar)
+{
+    const simd::Ops &ref = simd::opsFor(Kernel::Scalar);
+    Rng rng(0xc3c3u);
+    // 16 bytes of slack: every offset 0..15 reaches 4096 bytes.
+    alignas(16) std::array<uint8_t, 4096 + 16> buf;
+    const auto refill = [&] {
+        for (auto &b : buf)
+            b = static_cast<uint8_t>(rng.next());
+    };
+    refill();
+    for (const Kernel k : availableKernels()) {
+        const char *name = simd::kernelName(k);
+        // The kernel on its contract's inputs: an aligned start,
+        // whole 16-byte blocks, at least 64 bytes, any register.
+        const simd::Ops &ops = simd::opsFor(k);
+        for (std::size_t len = 64; len <= 4096; len += 16) {
+            const auto reg = static_cast<uint32_t>(rng.next());
+            ASSERT_EQ(ops.crc32(reg, buf.data(), len),
+                      ref.crc32(reg, buf.data(), len))
+                << name << " len " << len;
+        }
+
+        // crc32() with the kernel active, at every length and
+        // alignment: the head/bulk/tail split lands everywhere.
+        const KernelScope scope(k);
+        for (std::size_t off = 0; off < 16; ++off)
+            for (std::size_t len = 0; len <= 4096; ++len)
+                ASSERT_EQ(crc32(buf.data() + off, len),
+                          scalarCrc(buf.data() + off, len))
+                    << name << " len " << len << " offset " << off;
+
+        // Extra weight where the split changes shape: below, at and
+        // above the 64-byte kernel minimum, one fold block past it,
+        // and two full 64-byte fold steps.
+        for (const std::size_t len : {63, 64, 65, 79, 80, 127, 128}) {
+            for (unsigned round = 0; round < 32; ++round) {
+                refill();
+                for (std::size_t off = 0; off < 16; ++off) {
+                    const auto seed = static_cast<uint32_t>(rng.next());
+                    ASSERT_EQ(crc32(buf.data() + off, len, seed),
+                              scalarCrc(buf.data() + off, len, seed))
+                        << name << " len " << len << " offset " << off
+                        << " round " << round;
+                }
+            }
+        }
+
+        // Chained seeds: a message checksummed in two pieces, split
+        // at every byte, equals the whole-message CRC.
+        const uint8_t *msg = buf.data() + 3;
+        const std::size_t msgLen = 600;
+        const uint32_t whole = scalarCrc(msg, msgLen);
+        for (std::size_t split = 0; split <= msgLen; ++split) {
+            const uint32_t head = crc32(msg, split);
+            ASSERT_EQ(head, scalarCrc(msg, split))
+                << name << " split " << split;
+            ASSERT_EQ(crc32(msg + split, msgLen - split, head), whole)
+                << name << " split " << split;
         }
     }
 }

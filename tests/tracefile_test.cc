@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -337,6 +338,142 @@ TEST(LzCodec, MalformedStreamsThrowNamedErrors)
     expectLzError({0x01, 0x00, 0x00}, 64);
     // A token demanding literals the input does not carry.
     expectLzError({0x50, 'a', 'b'}, 64);
+}
+
+/** A hand-built LZ stream, the bytes it decodes to, and the prefix
+ *  lengths that are themselves whole streams (with their output). */
+struct LzStream
+{
+    std::vector<uint8_t> bytes;
+    std::vector<uint8_t> raw;
+    std::map<std::size_t, std::size_t> wholePrefixes{{0, 0}};
+
+    /** Append a sequence: @p lits, then a match of @p matchLen bytes
+     *  at @p offset (matchLen 0 makes it a literals-only tail). */
+    void
+    append(const std::vector<uint8_t> &lits, std::size_t offset,
+           std::size_t matchLen)
+    {
+        const auto putExtent = [&](std::size_t v) {
+            for (v -= 15; v >= 255; v -= 255)
+                bytes.push_back(255);
+            bytes.push_back(static_cast<uint8_t>(v));
+        };
+        const std::size_t litNibble = std::min<std::size_t>(lits.size(), 15);
+        const std::size_t code = matchLen ? matchLen - 4 : 0;
+        const std::size_t matchNibble = std::min<std::size_t>(code, 15);
+        bytes.push_back(
+            static_cast<uint8_t>(litNibble << 4 | matchNibble));
+        if (litNibble == 15)
+            putExtent(lits.size());
+        bytes.insert(bytes.end(), lits.begin(), lits.end());
+        raw.insert(raw.end(), lits.begin(), lits.end());
+        if (matchNibble == 0) // also a valid literals-only tail
+            wholePrefixes[bytes.size()] = raw.size();
+        if (matchLen == 0)
+            return;
+        bytes.push_back(static_cast<uint8_t>(offset & 0xff));
+        bytes.push_back(static_cast<uint8_t>(offset >> 8));
+        if (matchNibble == 15)
+            putExtent(code);
+        for (std::size_t i = 0; i < matchLen; ++i)
+            raw.push_back(raw[raw.size() - offset]);
+        wholePrefixes[bytes.size()] = raw.size();
+    }
+};
+
+TEST(LzCodec, StreamsEndingAtCapacityDecodeAndTruncationsAreNamed)
+{
+    Rng rng(0x1b0u);
+    const auto randomBytes = [&](std::size_t n) {
+        std::vector<uint8_t> v(n);
+        for (auto &b : v)
+            b = static_cast<uint8_t>(rng.next());
+        return v;
+    };
+    for (std::size_t offset = 1; offset <= 20; ++offset) {
+        for (std::size_t matchLen = 4; matchLen <= 80; ++matchLen) {
+            // Leading literals: just the match's window (a run of
+            // 1..20, across the 16-byte copy and the 15-length
+            // extension), or a long run. Trailing literals: none,
+            // so the stream ends on the match, or a short or
+            // exactly 16-byte tail.
+            for (const std::size_t extra : {0, 40}) {
+                for (const std::size_t tail : {0, 1, 16}) {
+                    LzStream s;
+                    s.append(randomBytes(offset + extra), offset,
+                             matchLen);
+                    if (tail)
+                        s.append(randomBytes(tail), 0, 0);
+                    const std::string what =
+                        "offset " + std::to_string(offset) +
+                        " match " + std::to_string(matchLen) +
+                        " extra " + std::to_string(extra) + " tail " +
+                        std::to_string(tail);
+
+                    // Exact-size buffers on both sides, so a read
+                    // past srcLen or a write past dstCap is a heap
+                    // overflow under ASan. The slack values straddle
+                    // the wide copies' margins.
+                    for (const std::size_t slack :
+                         {0, 1, 7, 8, 15, 16, 31, 32, 33}) {
+                        std::vector<uint8_t> out(s.raw.size() + slack);
+                        ASSERT_EQ(lzDecompress(s.bytes.data(),
+                                               s.bytes.size(),
+                                               out.data(), out.size()),
+                                  s.raw.size())
+                            << what << " slack " << slack;
+                        ASSERT_TRUE(std::equal(s.raw.begin(),
+                                               s.raw.end(), out.begin()))
+                            << what << " slack " << slack;
+                    }
+                    std::vector<uint8_t> shortOut(s.raw.size() - 1);
+                    EXPECT_THROW(lzDecompress(s.bytes.data(),
+                                              s.bytes.size(),
+                                              shortOut.data(),
+                                              shortOut.size()),
+                                 std::runtime_error)
+                        << what;
+
+                    // Every truncation is either a whole stream
+                    // itself, decoding to its prefix of the output,
+                    // or throws a named error.
+                    for (std::size_t cut = 0; cut < s.bytes.size();
+                         ++cut) {
+                        const std::vector<uint8_t> in(
+                            s.bytes.begin(), s.bytes.begin() + cut);
+                        std::vector<uint8_t> out(s.raw.size());
+                        const auto whole = s.wholePrefixes.find(cut);
+                        if (whole != s.wholePrefixes.end()) {
+                            ASSERT_EQ(lzDecompress(in.data(), in.size(),
+                                                   out.data(),
+                                                   out.size()),
+                                      whole->second)
+                                << what << " cut " << cut;
+                            ASSERT_TRUE(std::equal(
+                                s.raw.begin(),
+                                s.raw.begin() + whole->second,
+                                out.begin()))
+                                << what << " cut " << cut;
+                            continue;
+                        }
+                        try {
+                            lzDecompress(in.data(), in.size(),
+                                         out.data(), out.size());
+                            FAIL() << what << " cut " << cut
+                                   << " decoded";
+                        } catch (const std::runtime_error &err) {
+                            ASSERT_EQ(std::string(err.what()).find(
+                                          "lz: "),
+                                      0u)
+                                << what << " cut " << cut << ": "
+                                << err.what();
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------ format basics

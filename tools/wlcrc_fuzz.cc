@@ -16,6 +16,9 @@
  * compressed streams plus pure garbage must be rejected with an
  * exception or a bounded return — never a crash or an out-of-bounds
  * read (the ASan/UBSan CI legs run this binary to back that claim).
+ * A mutated stream that does decode must decode to the same bytes
+ * into a buffer of exactly the size it produced, where the
+ * decoder's wide copies have no room past the end.
  *
  * A seeded WRK1 stage follows: an in-process distributed-sweep head
  * (runner/remote.hh) is bombarded with hostile client streams —
@@ -282,8 +285,9 @@ fuzzLzBuffer(Rng &rng)
 
 /**
  * One seeded LZ case: round-trip must be exact; mutated compressed
- * streams and raw garbage must throw or return within bounds.
- * @return false (after a report) on a round-trip mismatch.
+ * streams and raw garbage must throw or return within bounds, and
+ * decode alike with spare room and into an exact-capacity buffer.
+ * @return false (after a report) on a mismatch.
  */
 bool
 lzFuzzCase(uint64_t iseed, LzScratch &scratch)
@@ -318,29 +322,59 @@ lzFuzzCase(uint64_t iseed, LzScratch &scratch)
 
     // Adversarial decodes: any outcome but a crash/over-read is
     // acceptable — corruption may cancel out, but most mutations
-    // must surface as the codec's named errors.
-    auto tryDecode = [&](const std::vector<uint8_t> &evil) {
+    // must surface as the codec's named errors. Each stream sits in
+    // a buffer of exactly its size. One that decodes is decoded
+    // again into a buffer of exactly the size it produced, where
+    // the wide copies have no room to spare: the bytes must agree.
+    std::vector<uint8_t> roomy(raw.size() + 4096);
+    auto tryDecode = [&](const std::vector<uint8_t> &mutated) {
+        const std::vector<uint8_t> evil(mutated.begin(), mutated.end());
+        std::size_t n = 0;
         try {
-            const std::size_t n = lzDecompress(
-                evil.data(), evil.size(), out.data(), out.size());
-            (void)n; // bounded by contract; ASan audits the rest
+            n = lzDecompress(evil.data(), evil.size(), roomy.data(),
+                             roomy.size());
         } catch (const std::exception &) {
-            // expected for most mutations
+            return true; // expected for most mutations
         }
+        std::vector<uint8_t> exact(n);
+        std::size_t m = 0;
+        try {
+            m = lzDecompress(evil.data(), evil.size(),
+                             n ? exact.data() : roomy.data(), n);
+        } catch (const std::exception &err) {
+            std::fprintf(stderr,
+                         "MISMATCH (lz): a stream that decodes to %zu "
+                         "bytes fails into exactly %zu: %s (seed "
+                         "%llu)\n",
+                         n, n, err.what(),
+                         static_cast<unsigned long long>(iseed));
+            return false;
+        }
+        if (m != n ||
+            !std::equal(exact.begin(), exact.end(), roomy.begin())) {
+            std::fprintf(stderr,
+                         "MISMATCH (lz): a stream decodes to %zu bytes "
+                         "with room and %zu different ones into an "
+                         "exact buffer (seed %llu)\n",
+                         n, m, static_cast<unsigned long long>(iseed));
+            return false;
+        }
+        return true;
     };
+    bool ok = true;
     std::vector<uint8_t> evil = packed;
     if (!evil.empty()) {
         evil[rng.nextBelow(evil.size())] ^=
             static_cast<uint8_t>(1u << rng.nextBelow(8));
-        tryDecode(evil);
+        ok &= tryDecode(evil);
         evil.resize(rng.nextBelow(evil.size() + 1)); // truncate
-        tryDecode(evil);
+        ok &= tryDecode(evil);
     }
     std::vector<uint8_t> garbage(rng.nextBelow(256));
     for (auto &b : garbage)
         b = static_cast<uint8_t>(rng.next());
-    tryDecode(garbage);
-    return true;
+    ok &= tryDecode(garbage);
+    return ok;
 }
 
 /** Loopback socket to the fuzzed head (100 ms recv timeout). */
