@@ -3,7 +3,8 @@
  * Hot-path microbenchmark: full replay throughput (encode +
  * differential program + disturbance) of every Figure 8 scheme over
  * one synthesized "gcc" write stream, driven through
- * Replayer::runBatch exactly like the sharded runner.
+ * Replayer::runBatch, the pull twin of the pushBlock() path the
+ * sharded runner's replayGroup takes (same blocks, same results).
  *
  * Output: a CSV whose deterministic columns (mean energy / updated
  * cells) are pinned by the golden suite while the wall-clock columns

@@ -3,8 +3,8 @@
  * energy_explorer: compare any set of encoding schemes on any
  * workloads from the command line.
  *
- *   ./build/examples/energy_explorer [scheme ...] [--workload name]
- *                                    [--lines N] [--seed S]
+ *   ./build/example_energy_explorer [scheme ...] [--workload name]
+ *                                   [--lines N] [--seed S]
  *
  * With no scheme arguments, the full Figure 8 list is used; with no
  * --workload, the whole benchmark suite is averaged. Prints a CSV of

@@ -7,7 +7,7 @@
  *
  * Build & run:
  *   cmake -B build -G Ninja && cmake --build build
- *   ./build/examples/lifetime_demo
+ *   ./build/example_lifetime_demo
  */
 
 #include <cstdio>

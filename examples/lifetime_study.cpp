@@ -2,15 +2,13 @@
  * @file
  * lifetime_study: endurance-centric exploration.
  *
- *   1. runs the end-to-end system model (core stream -> L2 ->
- *      controller -> PCM) with WLCRC-16 and reports controller and
- *      device statistics;
- *   2. sweeps the multi-objective threshold T (Section VIII-D) to
- *      show the energy/endurance trade-off;
- *   3. demonstrates the Verify-n-Restore loop converging on a
+ *   1. sweeps the multi-objective threshold T (Section VIII-D)
+ *      over `writes` writes of the workload (default 5000) to show
+ *      the energy/endurance trade-off;
+ *   2. demonstrates the Verify-n-Restore loop converging on a
  *      disturbance-heavy write pattern.
  *
- *   ./build/examples/lifetime_study [workload] [accesses]
+ *   ./build/example_lifetime_study [workload] [writes]
  */
 
 #include <cstdio>
@@ -18,10 +16,9 @@
 #include <vector>
 
 #include "common/parse.hh"
-#include "memsys/system.hh"
 #include "pcm/write_unit.hh"
 #include "trace/replay.hh"
-#include "wlcrc/factory.hh"
+#include "trace/workload.hh"
 #include "wlcrc/wlcrc_codec.hh"
 
 int
@@ -31,55 +28,27 @@ main(int argc, char **argv)
 
     std::vector<std::string> args;
     std::string workload = "milc";
-    uint64_t accesses = 50000;
+    uint64_t writes = 5000;
     CommandLine cli("lifetime_study",
-                    "usage: lifetime_study [workload] [accesses]\n");
+                    "usage: lifetime_study [workload] [writes]\n");
     cli.positionals(args);
     if (const auto rc = cli.parse(argc, argv, [&] {
             usageCheck(args.size() <= 2, "too many arguments");
             if (args.size() > 0)
                 workload = args[0];
             if (args.size() > 1)
-                accesses = parseU64(args[1], "accesses");
+                writes = parseU64(args[1], "writes");
         }))
         return *rc;
 
-    const pcm::SystemConfig cfg;
     const pcm::EnergyModel energy;
     const pcm::WriteUnit unit{energy, pcm::DisturbanceModel()};
 
-    // 1. End-to-end pipeline.
     try {
-        const auto codec = core::makeCodec("WLCRC-16", energy);
         const auto &profile =
             trace::WorkloadProfile::byName(workload);
-        memsys::PcmSystem sys(cfg, *codec, unit, profile, 99);
-        sys.runAccesses(accesses);
-        sys.finish();
 
-        const auto &mc = sys.controller();
-        const auto &dev = mc.device();
-        std::printf("=== end-to-end (%s, %llu accesses) ===\n",
-                    workload.c_str(),
-                    static_cast<unsigned long long>(accesses));
-        std::printf("L2: %llu hits, %llu misses, %llu writebacks\n",
-                    (unsigned long long)sys.l2().hits(),
-                    (unsigned long long)sys.l2().misses(),
-                    (unsigned long long)sys.l2().writebacks());
-        std::printf("controller: %llu reads, %llu writes, "
-                    "mean read latency %.0f cycles, %llu drain "
-                    "cycles\n",
-                    (unsigned long long)mc.stats().readsServiced,
-                    (unsigned long long)mc.stats().writesServiced,
-                    mc.stats().readLatency.mean(),
-                    (unsigned long long)mc.stats().drainCycles);
-        std::printf("PCM: %.1f pJ and %.1f updated cells per "
-                    "write\n\n",
-                    dev.totals().totalEnergyPj() / dev.writeCount(),
-                    double(dev.totals().totalUpdated()) /
-                        dev.writeCount());
-
-        // 2. Multi-objective threshold sweep.
+        // 1. Multi-objective threshold sweep.
         std::printf("=== multi-objective sweep (%s) ===\n",
                     workload.c_str());
         std::printf("%-10s %12s %14s\n", "T", "energy(pJ)",
@@ -88,13 +57,13 @@ main(int argc, char **argv)
             const core::WlcrcCodec mo(energy, 16, t);
             trace::Replayer rep(mo, unit);
             trace::TraceSynthesizer synth(profile, 5);
-            rep.run(synth, 5000);
+            rep.run(synth, writes);
             std::printf("%-10.3f %12.1f %14.2f\n", t,
                         rep.result().energyPj.mean(),
                         rep.result().updatedCells.mean());
         }
 
-        // 3. Verify-n-Restore on a worst-case pattern.
+        // 2. Verify-n-Restore on a worst-case pattern.
         std::printf("\n=== Verify-n-Restore convergence ===\n");
         std::vector<pcm::State> cells(256, pcm::State::S1);
         pcm::TargetLine target(256);

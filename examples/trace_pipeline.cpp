@@ -13,7 +13,7 @@
  *      streaming block-by-block via a TransactionSource — the trace
  *      is never materialised in memory.
  *
- *   ./build/examples/trace_pipeline [workload] [lines] [/path.trc]
+ *   ./build/example_trace_pipeline [workload] [lines] [/path.trc]
  */
 
 #include <cstdio>

@@ -9,7 +9,10 @@
 #      `wlcrc_worker --help` is documented in docs/cli.md;
 #   3. every wlcrc_trace subcommand in its usage text (generate,
 #      convert, sort, info, verify, ...) has a `### \`<sub>\``
-#      section in docs/cli.md.
+#      section in docs/cli.md;
+#   4. README.md's Layout table matches the tree: every src/<dir>/
+#      and every tools/<tool>.cc has a row, and every row's path
+#      exists (a tools/<tool> row names tools/<tool>.cc).
 #
 # Usage: scripts/check_docs.sh [BUILD_DIR]   (default: build)
 set -u
@@ -65,7 +68,31 @@ if [ -x "$trace_bin" ]; then
              | tr -d ' ' | sort -u)
 fi
 
+# ------------------------------------- 4. README layout table
+layout_rows=$(sed -n '/^## Layout$/,/^## /p' README.md \
+                | grep -oE '^\| `[^`]+` \|' | sed -E 's/^\| `//; s/` \|$//')
+while IFS= read -r row; do
+  [ -z "$row" ] && continue
+  if [ ! -e "$row" ] && [ ! -e "$row.cc" ]; then
+    echo "STALE LAYOUT ROW: README.md lists $row, which does not exist"
+    status=1
+  fi
+done <<< "$layout_rows"
+for dir in src/*/; do
+  if ! grep -qxF -- "$dir" <<< "$layout_rows"; then
+    echo "MISSING LAYOUT ROW: $dir has no row in README.md's Layout table"
+    status=1
+  fi
+done
+for tool in tools/*.cc; do
+  if ! grep -qxF -- "${tool%.cc}" <<< "$layout_rows"; then
+    echo "MISSING LAYOUT ROW: $tool has no row in README.md's Layout table"
+    status=1
+  fi
+done
+
 if [ "$status" -eq 0 ]; then
-  echo "docs check: all links resolve, all CLI flags documented"
+  echo "docs check: all links resolve, all CLI flags documented," \
+       "layout table matches the tree"
 fi
 exit "$status"

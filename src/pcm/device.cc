@@ -31,12 +31,6 @@ Device::tryLine(uint64_t addr)
     return it == lines_.end() ? nullptr : &it->second;
 }
 
-bool
-Device::hasLine(uint64_t addr) const
-{
-    return lines_.count(addr) != 0;
-}
-
 WriteStats
 Device::write(uint64_t addr, const TargetLine &target,
               bool verify_n_restore)
@@ -56,8 +50,6 @@ Device::writeLine(uint64_t addr, std::vector<State> &stored,
                       wear_ ? &updated : nullptr);
     if (wear_)
         wear_->recordLine(addr, updated);
-    totals_ += st;
-    ++writes_;
     return st;
 }
 
@@ -66,13 +58,6 @@ Device::attachWearTracker(WearTracker *tracker)
 {
     assert(!tracker || tracker->cellsPerLine() == cellsPerLine_);
     wear_ = tracker;
-}
-
-void
-Device::resetStats()
-{
-    totals_ = WriteStats();
-    writes_ = 0;
 }
 
 } // namespace wlcrc::pcm

@@ -1,8 +1,7 @@
 /**
  * @file
- * Behavioural PCM device: a sparse store of per-line cell states,
- * organised by bank, that applies codec-produced target lines through
- * the WriteUnit and accumulates lifetime statistics.
+ * Behavioural PCM device: a sparse store of per-line cell states
+ * that applies codec-produced target lines through the WriteUnit.
  */
 
 #ifndef WLCRC_PCM_DEVICE_HH
@@ -44,12 +43,8 @@ class Device
      *  address, i.e. byte address >> 6). */
     std::vector<State> &line(uint64_t addr);
 
-    /** @return the stored line, or nullptr if never written — one
-     *  hash lookup where hasLine() + line() would take two. */
+    /** @return the stored line, or nullptr if never written. */
     std::vector<State> *tryLine(uint64_t addr);
-
-    /** @return true if the line has been written before. */
-    bool hasLine(uint64_t addr) const;
 
     /**
      * Apply @p target to line @p addr through differential write.
@@ -68,13 +63,7 @@ class Device
                          const TargetLine &target,
                          bool verify_n_restore = false);
 
-    /** Lifetime totals across all writes. */
-    const WriteStats &totals() const { return totals_; }
-    uint64_t writeCount() const { return writes_; }
     unsigned cellsPerLine() const { return cellsPerLine_; }
-
-    /** Reset lifetime statistics (stored contents are kept). */
-    void resetStats();
 
     /**
      * Attach a wear tracker; every subsequent write records its
@@ -89,8 +78,6 @@ class Device
     Rng rng_;
     std::unordered_map<uint64_t, std::vector<State>> lines_;
     WearTracker *wear_ = nullptr;
-    WriteStats totals_;
-    uint64_t writes_ = 0;
 };
 
 } // namespace wlcrc::pcm

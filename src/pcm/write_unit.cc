@@ -11,19 +11,6 @@
 namespace wlcrc::pcm
 {
 
-WriteStats &
-WriteStats::operator+=(const WriteStats &o)
-{
-    dataEnergyPj += o.dataEnergyPj;
-    auxEnergyPj += o.auxEnergyPj;
-    dataUpdated += o.dataUpdated;
-    auxUpdated += o.auxUpdated;
-    dataDisturbed += o.dataDisturbed;
-    auxDisturbed += o.auxDisturbed;
-    vnrIterations += o.vnrIterations;
-    return *this;
-}
-
 namespace
 {
 

@@ -145,8 +145,6 @@ struct WriteStats
     {
         return dataDisturbed + auxDisturbed;
     }
-
-    WriteStats &operator+=(const WriteStats &o);
 };
 
 /**

@@ -11,9 +11,10 @@
  *    and for a Figure 14 scaled model (the case a stale cost table
  *    would get wrong).
  *
- * 2. Batch/step equivalence: Replayer::runBatch (the runner's entry,
- *    which encodes blocks through LineCodec::encodeBatch) must equal
- *    step()-ing the same stream transaction by transaction.
+ * 2. Batch/step equivalence: Replayer::runBatch (the pull twin of
+ *    pushBlock(), which the runner's replayGroup calls; both encode
+ *    blocks through LineCodec::encodeBatch) must equal step()-ing
+ *    the same stream transaction by transaction.
  *
  * 3. Allocation guard: a steady-state write (every line already
  *    primed, scratch buffers warmed) performs zero heap allocations

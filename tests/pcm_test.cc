@@ -18,7 +18,6 @@
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "pcm/cell.hh"
-#include "pcm/config.hh"
 #include "pcm/device.hh"
 #include "pcm/disturbance.hh"
 #include "pcm/energy_model.hh"
@@ -511,52 +510,15 @@ TEST(WriteUnit, CensusPathMatchesAscendingCellLoop)
     EXPECT_GT(auxDisturbed, 0u);
 }
 
-TEST(WriteStats, Accumulate)
-{
-    pcm::WriteStats a, b;
-    a.dataEnergyPj = 10;
-    a.dataUpdated = 1;
-    b.dataEnergyPj = 5;
-    b.auxEnergyPj = 2;
-    b.auxUpdated = 3;
-    a += b;
-    EXPECT_DOUBLE_EQ(a.totalEnergyPj(), 17.0);
-    EXPECT_EQ(a.totalUpdated(), 4u);
-}
-
 TEST(Device, AllocatesFreshLinesAtS1)
 {
     const WriteUnit unit{EnergyModel(), DisturbanceModel()};
     pcm::Device dev(8, unit);
-    EXPECT_FALSE(dev.hasLine(42));
+    EXPECT_EQ(dev.tryLine(42), nullptr);
     auto &line = dev.line(42);
-    EXPECT_TRUE(dev.hasLine(42));
+    EXPECT_EQ(dev.tryLine(42), &line);
     for (const auto s : line)
         EXPECT_EQ(s, State::S1);
-}
-
-TEST(Device, AccumulatesTotals)
-{
-    const WriteUnit unit{EnergyModel(), DisturbanceModel()};
-    pcm::Device dev(4, unit);
-    TargetLine target(4);
-    target.assign({State::S2, State::S2, State::S1, State::S1});
-    dev.write(0, target);
-    dev.write(1, target);
-    EXPECT_EQ(dev.writeCount(), 2u);
-    EXPECT_EQ(dev.totals().dataUpdated, 4u);
-    dev.resetStats();
-    EXPECT_EQ(dev.writeCount(), 0u);
-    EXPECT_EQ(dev.totals().dataUpdated, 0u);
-}
-
-TEST(SystemConfig, TableIITopology)
-{
-    const pcm::SystemConfig cfg;
-    EXPECT_EQ(cfg.totalBanks(), 2u * 2u * 16u);
-    EXPECT_EQ(cfg.writeQueueEntries, 32u);
-    EXPECT_DOUBLE_EQ(cfg.writeDrainThreshold, 0.80);
-    EXPECT_EQ(cfg.l2Bytes, 2ull * 1024 * 1024);
 }
 
 TEST(WearTracker, MergeMatchesSingleTrackerOracle)

@@ -11,7 +11,8 @@
  *   - periodically, a batched replay against a step()-ed replay.
  *
  * A seeded LZ stage runs first: pattern-biased buffers (runs,
- * repeats, 136-byte record-shaped periods) must round-trip through
+ * repeats, 136-byte record-shaped periods; one in four ends with a
+ * short far match just short of the end) must round-trip through
  * the trace block codec bit-exactly, and bit-flipped / truncated
  * compressed streams plus pure garbage must be rejected with an
  * exception or a bounded return — never a crash or an out-of-bounds
@@ -279,6 +280,25 @@ fuzzLzBuffer(Rng &rng)
                     (i % 136) < 8 ? rng.next() : (i % 136));
         }
         at += chunk;
+    }
+    if (rng.nextBelow(4) == 0) {
+        // Tail X F X T: a 4..15-byte match X at offset >= 20 whose
+        // copy ends 16..31 bytes before the end (len(X) + len(T) <
+        // 32). The decoder's 16-byte-chunk match copy stores 32
+        // bytes and so must take its exact path here when the round
+        // trip decodes into a buffer of exactly the raw size.
+        const std::size_t m = 4 + rng.nextBelow(12);
+        const std::size_t f = 16 + rng.nextBelow(48);
+        const std::size_t t = 16 + rng.nextBelow(16 - m);
+        std::vector<uint8_t> x(m);
+        for (auto &b : x)
+            b = static_cast<uint8_t>(rng.next());
+        buf.insert(buf.end(), x.begin(), x.end());
+        for (std::size_t i = 0; i < f; ++i)
+            buf.push_back(static_cast<uint8_t>(rng.next()));
+        buf.insert(buf.end(), x.begin(), x.end());
+        for (std::size_t i = 0; i < t; ++i)
+            buf.push_back(static_cast<uint8_t>(rng.next()));
     }
     return buf;
 }
