@@ -8,10 +8,10 @@
  * corpus.
  *
  * Corpus: one low-write-intensity synthesized stream (libq — the
- * suite's most compressible profile) written four ways: WLCTRC02,
- * WLCTRC03+lz in arrival order, and both again in sorted line-address
- * order (what `wlcrc_trace sort` produces; same-line records become
- * adjacent, which is where the LZ codec earns its keep).
+ * suite's most compressible profile) written as WLCTRC03+lz twice:
+ * in arrival order and in sorted line-address order (what
+ * `wlcrc_trace sort` produces; same-line records become adjacent,
+ * which is where the LZ codec earns its keep).
  *
  * Gates (exit 1): the sorted corpus must compress at least 5x and
  * range-sharded replay must visit fewer blocks than modulo replay of
@@ -72,12 +72,9 @@ secondsSince(std::chrono::steady_clock::time_point start)
 
 void
 writeCorpus(const std::string &path,
-            const std::vector<trace::WriteTransaction> &txns,
-            tracefile::TraceFormat format)
+            const std::vector<trace::WriteTransaction> &txns)
 {
-    tracefile::WriterOptions opts;
-    opts.format = format;
-    tracefile::TraceFileWriter writer(path, opts);
+    tracefile::TraceFileWriter writer(path);
     for (const auto &t : txns)
         writer.write(t);
     writer.close();
@@ -268,12 +265,10 @@ main(int argc, char **argv)
             fs::temp_directory_path() /
             ("wlcrc_trace_io." + std::to_string(::getpid()));
         fs::create_directories(dir);
-        const std::string unV2 = (dir / "un.v2.trc").string();
         const std::string unV3 = (dir / "un.v3.trc").string();
         const std::string soV3 = (dir / "so.v3.trc").string();
-        writeCorpus(unV2, txns, tracefile::TraceFormat::v2);
-        writeCorpus(unV3, txns, tracefile::TraceFormat::v3);
-        writeCorpus(soV3, sorted, tracefile::TraceFormat::v3);
+        writeCorpus(unV3, txns);
+        writeCorpus(soV3, sorted);
 
         const double rawMb = static_cast<double>(lines) *
                              tracefile::recordBytes / 1e6;
@@ -321,7 +316,6 @@ main(int argc, char **argv)
         const uint64_t rangeVisited = blocksVisitedSharded(
             sortedSrc, shards, tracefile::Partition::range);
 
-        std::remove(unV2.c_str());
         std::remove(unV3.c_str());
         std::remove(soV3.c_str());
         std::error_code ec;

@@ -5,7 +5,7 @@
  * scale — the API twin of `wlcrc_trace generate/info` piped into
  * `wlcrc_sim --trace-in`.
  *
- *   1. synthesize a workload and persist it as an indexed WLCTRC02
+ *   1. synthesize a workload and persist it as an indexed WLCTRC03
  *      container (tracefile/writer.hh);
  *   2. inspect it through the mmap-backed reader: record count,
  *      block index, address range, checksum audit;
@@ -58,13 +58,15 @@ main(int argc, char **argv)
         return *rc;
 
     try {
-        // Step 1: synthesize and persist as a WLCTRC02 container.
+        // Step 1: synthesize and persist as a WLCTRC03 container.
         // Small blocks keep the example's streaming bound visible;
         // production traces use the (much larger) default.
         {
             trace::TraceSynthesizer synth(
                 trace::WorkloadProfile::byName(workload), 7);
-            tracefile::TraceFileWriter writer(path, 512);
+            tracefile::WriterOptions options;
+            options.recordsPerBlock = 512;
+            tracefile::TraceFileWriter writer(path, options);
             for (uint64_t i = 0; i < lines; ++i)
                 writer.write(synth.next());
             writer.close();

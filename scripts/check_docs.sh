@@ -6,7 +6,9 @@
 #   2. every --flag printed by `wlcrc_sim --help`,
 #      `wlcrc_trace --help`, `wlcrc_fuzz --help`,
 #      `wlcrc_serve --help`, `wlcrc_load --help` and
-#      `wlcrc_worker --help` is documented in docs/cli.md;
+#      `wlcrc_worker --help` is documented in docs/cli.md, and every
+#      `--flag` in the first cell of a docs/cli.md table row is
+#      printed by one of them (so a removed flag cannot linger);
 #   3. every wlcrc_trace subcommand in its usage text (generate,
 #      convert, sort, info, verify, ...) has a `### \`<sub>\``
 #      section in docs/cli.md;
@@ -39,6 +41,7 @@ for f in README.md docs/*.md; do
 done
 
 # ------------------------------------- 2. CLI flag coverage
+printed=""
 for tool in wlcrc_sim wlcrc_trace wlcrc_fuzz wlcrc_serve wlcrc_load wlcrc_worker; do
   bin="$BUILD_DIR/$tool"
   if [ ! -x "$bin" ]; then
@@ -46,14 +49,25 @@ for tool in wlcrc_sim wlcrc_trace wlcrc_fuzz wlcrc_serve wlcrc_load wlcrc_worker
     status=1
     continue
   fi
+  flags=$("$bin" --help | grep -oE '(^|[^a-z0-9-])--[a-z0-9-]+' \
+            | grep -oE -- '--[a-z0-9-]+' | sort -u)
+  printed="$printed$flags"$'\n'
   while IFS= read -r flag; do
     if ! grep -q -- "$flag" docs/cli.md; then
       echo "UNDOCUMENTED FLAG: $tool $flag (in --help but not docs/cli.md)"
       status=1
     fi
-  done < <("$bin" --help | grep -oE '(^|[^a-z0-9-])--[a-z0-9-]+' \
-             | grep -oE -- '--[a-z0-9-]+' | sort -u)
+  done <<< "$flags"
 done
+# The first cell of a flag table row: up to the first unescaped '|'.
+while IFS= read -r flag; do
+  if ! grep -qxF -- "$flag" <<< "$printed"; then
+    echo "STALE FLAG ROW: docs/cli.md documents $flag, which no tool's --help prints"
+    status=1
+  fi
+done < <(grep -E '^\| `--' docs/cli.md \
+           | sed -E 's/^\| (([^|\\]|\\.)*)\|.*/\1/' \
+           | grep -oE -- '--[a-z0-9-]+' | sort -u)
 
 # --------------------------- 3. wlcrc_trace subcommand coverage
 trace_bin="$BUILD_DIR/wlcrc_trace"

@@ -14,7 +14,7 @@
  * Trace blocks are runs of 136-byte records whose address and data
  * words repeat heavily on biased workloads, so even this greedy
  * single-pass matcher shrinks them several-fold; blocks that do not
- * shrink are stored raw by the writer (tracefile/block_codec.hh).
+ * shrink are stored raw by the writer (tracefile/writer.hh).
  *
  * The decoder is hostile-input safe: every read is bounds-checked
  * against the input, every write against the output capacity, and

@@ -46,6 +46,13 @@ groupsOf(const ExperimentSpec &spec, unsigned width)
 }
 
 /**
+ * Largest synthesized stream, in record bytes, that runWhole()
+ * gathers once instead of re-synthesizing on every lifetime pass. A
+ * constant, so no path's memory grows with trace length.
+ */
+constexpr uint64_t kGatherLimitBytes = 4u << 20;
+
+/**
  * Replay a spec the block loop does not: a custom replay hook, or a
  * leveled/lifetime spec, which needs one globally consistent line
  * mapping and so always runs as a single shard
@@ -78,7 +85,13 @@ runWhole(const ExperimentSpec &spec)
     lopts.seed = spec.seed;
     lopts.vnr = spec.device.vnr;
     wearlevel::LifetimeEngine engine(*kit.codec, kit.unit, lopts);
-    out.lifetime = engine.run(*streamOf(spec), spec.lifetime);
+    auto stream = streamOf(spec);
+    if (spec.lifetime && !spec.source &&
+        spec.lines <= kGatherLimitBytes / tracefile::recordBytes)
+        stream = std::make_shared<tracefile::VectorSource>(
+            std::make_shared<const std::vector<trace::WriteTransaction>>(
+                tracefile::gather(*stream)));
+    out.lifetime = engine.run(*stream, spec.lifetime);
     out.replay = engine.replayResult();
     if (spec.device.wearEndurance || spec.keepWearTracker)
         out.wear.emplace(engine.wearTracker());

@@ -858,8 +858,6 @@ runWorkerLoop(const WorkerOptions &opts)
         const auto type = static_cast<WorkFrame>(h.type);
         if (type == WorkFrame::Fin || type == WorkFrame::Error)
             break;
-        if (type == WorkFrame::Retry)
-            continue; // reserved, never sent: just pull again
         if (type != WorkFrame::Work || payload.size() < 8)
             break; // head speaking a different dialect: bail out
         ++works;

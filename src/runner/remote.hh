@@ -21,8 +21,6 @@
  *     Result    u64 pointId, then the writeResultObject() JSON text
  *   head → worker
  *     Work      u64 pointId, then the canonicalSpec() text
- *     Retry     reserved (type 4), never sent; a worker that
- *               receives one pulls again at once
  *     Fin       empty — head is shutting down, exit the loop
  *   cache, either direction of request (any client may use them)
  *     CacheGet  16-byte entry hash (lowercase hex)
@@ -32,6 +30,8 @@
  *     PutAck    empty                       (reply to CachePut)
  *   either
  *     Error     ASCII error name, best-effort before a close
+ *   Type 4 is unassigned: a worker ends its loop on it, as on any
+ *   frame it does not expect.
  *
  * Fault model — the part the fault-injection suite pins down:
  *
@@ -105,7 +105,7 @@ enum class WorkFrame : uint8_t
     Hello = 1,
     Pull = 2,
     Work = 3,
-    Retry = 4, //!< reserved: the head long-polls, never retries
+    // 4 is unassigned (see the protocol table above).
     Fin = 5,
     Result = 6,
     CacheGet = 7,

@@ -9,7 +9,7 @@
  * Threads: the ConnServer accept loop, one reader thread per
  * connection, one encode worker per bank (BankEngine). A reader
  * decodes frames, optionally captures accepted records to a
- * per-stream WLCTRC02/03 file, and submits them to the engine;
+ * per-stream WLCTRC03 file, and submits them to the engine;
  * backpressure propagates from a full bank queue through the
  * blocked reader to the client's TCP window. Telemetry requests are
  * answered on the requesting connection's own thread from the
@@ -52,11 +52,10 @@ struct ServerConfig
     /** Directory for per-stream capture files; "" = off. */
     std::string captureDir;
     /**
-     * Container revision + codec for capture files. Defaults to the
-     * historical uncompressed WLCTRC02; v3 + lz shrinks long
-     * captures severalfold at a per-block compress cost the reader
-     * thread absorbs. Either way the capture replays byte-identically
-     * (the capture-replay equivalence tests cover both).
+     * Writer options of capture files: WLCTRC03, lz by default,
+     * which shrinks long captures severalfold at a per-block
+     * compress cost the reader thread absorbs. Either codec replays
+     * byte-identically (the capture-replay equivalence tests).
      */
     tracefile::WriterOptions captureOptions;
     uint64_t maxWrites = 0;  //!< stop after admitting this many (0 = off)

@@ -7,6 +7,10 @@
  * Format: 8-byte magic "WLCTRC01", then records of
  *   u64 lineAddr | 64 bytes old data | 64 bytes new data
  * in little-endian byte order.
+ *
+ * No tool writes WLCTRC01 any more (they write WLCTRC03, see
+ * tracefile/writer.hh); TraceWriter remains to write the reader
+ * tests' fixtures, TraceReader to read existing dumps.
  */
 
 #ifndef WLCRC_TRACE_TRACE_IO_HH

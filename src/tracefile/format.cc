@@ -34,10 +34,19 @@ codecName(BlockCodec c)
         return "raw";
     case BlockCodec::lz:
         return "lz";
-    case BlockCodec::zstd:
-        return "zstd";
     }
     return "?";
+}
+
+BlockCodec
+parseCodecName(const std::string &name)
+{
+    if (name == "raw")
+        return BlockCodec::raw;
+    if (name == "lz")
+        return BlockCodec::lz;
+    throw std::invalid_argument("unknown block codec: " + name +
+                                " (expected raw or lz)");
 }
 
 const char *

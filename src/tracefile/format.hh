@@ -39,7 +39,9 @@
  * larger than its v2 equivalent plus the bigger index. Records are
  * the same 136 bytes in all generations (u64 lineAddr, 64 B old
  * data, 64 B new data, little-endian), so conversion between any
- * two formats is re-framing, never re-encoding. The trailer sits at
+ * two formats is re-framing, never re-encoding. Every tool writes
+ * WLCTRC03; v1 and v2 files stay readable everywhere and `wlcrc_trace
+ * convert` turns them into v3. The trailer sits at
  * EOF, so a reader finds the index with one seek; the per-block
  * min/max addresses let a sharded replay skip whole blocks whose
  * address range cannot intersect its partition.
@@ -90,13 +92,17 @@ inline constexpr uint32_t defaultRecordsPerBlock = 4096;
 /** Per-block storage codec of a WLCTRC03 container. */
 enum class BlockCodec : uint8_t
 {
-    raw = 0,  //!< records stored verbatim
-    lz = 1,   //!< dependency-free LZ (common/lz.hh)
-    zstd = 2, //!< zstd, present only when CMake finds the library
+    raw = 0, //!< records stored verbatim
+    lz = 1,  //!< dependency-free LZ (common/lz.hh)
+    // Bytes >= 2 are unassigned: an index entry carrying one fails
+    // at open with "unknown codec byte".
 };
 
-/** @return "raw", "lz" or "zstd". */
+/** @return "raw" or "lz". */
 const char *codecName(BlockCodec c);
+
+/** Parse "raw" / "lz". @throws std::invalid_argument. */
+BlockCodec parseCodecName(const std::string &name);
 
 /**
  * Decoded footer-index entry of one block. For a v2 container the

@@ -10,7 +10,7 @@
 #include <unistd.h>
 
 #include "common/crc32.hh"
-#include "tracefile/block_codec.hh"
+#include "common/lz.hh"
 
 namespace wlcrc::tracefile
 {
@@ -186,7 +186,7 @@ MappedTrace::parseIndexV3(const uint8_t *footer, uint64_t blockCount,
         if (info.minAddr > info.maxAddr)
             fail(path_, "block " + std::to_string(b) +
                             " has inverted address range");
-        if (codec > static_cast<uint8_t>(BlockCodec::zstd))
+        if (codec > static_cast<uint8_t>(BlockCodec::lz))
             fail(path_, "block " + std::to_string(b) +
                             " uses unknown codec byte " +
                             std::to_string(codec));
@@ -264,8 +264,8 @@ MappedTrace::readBlock(uint64_t b,
         scratch.resize(rawLen);
     std::size_t got = 0;
     try {
-        got = decompressBlock(info.codec, stored, info.storedBytes,
-                              scratch.data(), rawLen);
+        got = lzDecompress(stored, info.storedBytes, scratch.data(),
+                           rawLen);
     } catch (const std::exception &e) {
         fail(path_, "block " + std::to_string(b) +
                         " failed to decompress: " + e.what());

@@ -5,17 +5,9 @@
 #include <stdexcept>
 
 #include "common/crc32.hh"
-#include "tracefile/block_codec.hh"
 
 namespace wlcrc::tracefile
 {
-
-TraceFileWriter::TraceFileWriter(const std::string &path,
-                                 uint32_t recordsPerBlock)
-    : TraceFileWriter(path, WriterOptions{recordsPerBlock,
-                                          TraceFormat::v2,
-                                          BlockCodec::lz})
-{}
 
 TraceFileWriter::TraceFileWriter(const std::string &path,
                                  const WriterOptions &options)
@@ -31,14 +23,13 @@ TraceFileWriter::TraceFileWriter(const std::string &path,
         options_.format != TraceFormat::v3)
         throw std::invalid_argument(
             "TraceFileWriter: only v2 and v3 containers are "
-            "writable (use trace::TraceWriter for v1)");
-    const bool v3 = options_.format == TraceFormat::v3;
-    if (v3 && options_.codec != BlockCodec::raw &&
-        !codecAvailable(options_.codec))
+            "writable");
+    if (options_.codec != BlockCodec::raw &&
+        options_.codec != BlockCodec::lz)
         throw std::invalid_argument(
-            std::string("TraceFileWriter: codec ") +
-            codecName(options_.codec) +
-            " is not available in this build");
+            "TraceFileWriter: unknown codec byte " +
+            std::to_string(static_cast<unsigned>(options_.codec)));
+    const bool v3 = options_.format == TraceFormat::v3;
     block_.resize(std::size_t{options_.recordsPerBlock} *
                   recordBytes);
     if (v3 && options_.codec != BlockCodec::raw)
@@ -100,9 +91,9 @@ TraceFileWriter::flushBlock()
     info.codec = BlockCodec::raw;
     if (options_.format == TraceFormat::v3 &&
         options_.codec != BlockCodec::raw) {
-        const std::size_t c = compressBlock(
-            options_.codec, block_.data(), rawLen,
-            compressed_.data(), rawLen - 1, lzScratch_);
+        const std::size_t c =
+            lzCompress(block_.data(), rawLen, compressed_.data(),
+                       rawLen - 1, &lzScratch_);
         if (c != 0) {
             stored = compressed_.data();
             storedLen = c;

@@ -1,6 +1,8 @@
 /**
  * @file
- * TraceFileWriter: streaming writer of the WLCTRC02/03 containers.
+ * TraceFileWriter: streaming writer of the WLCTRC03 container, the
+ * only one any tool writes. WriterOptions::format = v2 remains for
+ * the fixture files of the reader tests.
  *
  * Records are serialized into a single in-memory block buffer
  * (recordsPerBlock × 136 B); a full buffer is checksummed, appended
@@ -39,29 +41,24 @@ struct WriterOptions
      * footer index (and, for v3, a shallower compression window).
      */
     uint32_t recordsPerBlock = defaultRecordsPerBlock;
-    /** Container generation to emit (v2 or v3). */
-    TraceFormat format = TraceFormat::v2;
+    /** Container generation to emit (v3; v2 for reader fixtures). */
+    TraceFormat format = TraceFormat::v3;
     /** Block codec for v3 output; ignored for v2. */
     BlockCodec codec = BlockCodec::lz;
 };
 
-/** Blocked, indexed trace writer (WLCTRC02/WLCTRC03). */
+/** Blocked, indexed trace writer (WLCTRC03, or v2 for fixtures). */
 class TraceFileWriter
 {
   public:
     /**
      * Open @p path for writing and emit the header.
-     * @throws std::runtime_error on open failure or an unavailable
-     *         codec, std::invalid_argument for recordsPerBlock = 0,
-     *         format v1, or a codec byte this build cannot encode.
+     * @throws std::runtime_error on open failure,
+     *         std::invalid_argument for recordsPerBlock = 0, format
+     *         v1, or a codec byte outside raw and lz.
      */
-    explicit TraceFileWriter(
-        const std::string &path,
-        uint32_t recordsPerBlock = defaultRecordsPerBlock);
-
-    /** As above with full options (format + codec). */
-    TraceFileWriter(const std::string &path,
-                    const WriterOptions &options);
+    explicit TraceFileWriter(const std::string &path,
+                             const WriterOptions &options = {});
 
     /** Flushes and finalizes via close() if still open. */
     ~TraceFileWriter();

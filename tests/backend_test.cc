@@ -93,7 +93,7 @@ TEST(Backends, ProcessBackendReplaysTraceFilesByteIdentically)
     const fs::path path =
         fs::path(::testing::TempDir()) / "wlcrc_backend.trc";
     {
-        tracefile::TraceFileWriter w(path.string(), 16);
+        tracefile::TraceFileWriter w(path.string(), {16});
         trace::WriteTransaction t{};
         for (uint64_t i = 0; i < 80; ++i) {
             t.lineAddr = (i * 7) % 23;

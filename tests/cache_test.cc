@@ -158,7 +158,7 @@ TEST(SpecHash, TraceContentDigestInvalidates)
     const std::string dir = tempDir("digest");
     const std::string path = dir + "/t.trc";
     const auto writeTrace = [&](uint64_t seed) {
-        tracefile::TraceFileWriter w(path, 16);
+        tracefile::TraceFileWriter w(path, {16});
         trace::WriteTransaction t{};
         for (uint64_t i = 0; i < 40; ++i) {
             t.lineAddr = (i * seed) % 17;

@@ -332,7 +332,7 @@ TEST(RemoteBackend, ReplaysTraceFilesByteIdentically)
     const fs::path path =
         fs::path(::testing::TempDir()) / "wlcrc_remote.trc";
     {
-        tracefile::TraceFileWriter w(path.string(), 16);
+        tracefile::TraceFileWriter w(path.string(), {16});
         trace::WriteTransaction t{};
         for (uint64_t i = 0; i < 80; ++i) {
             t.lineAddr = (i * 7) % 23;
@@ -928,7 +928,7 @@ TEST(RemoteBackendLongPoll, ParkedPullGetsWorkWhenRunStarts)
     sendHello(fd);
     expectServed(fd);
     sendPull(fd);
-    // An idle head has nothing to say: no Retry, no reply at all.
+    // An idle head has nothing to say: no reply at all.
     EXPECT_FALSE(replyWithin(fd, 50));
 
     auto sweep = startRun(*head, onePoint());

@@ -899,13 +899,14 @@ TEST(LoadCli, RejectsMissingValuesAndBadCountsWithUsageError)
 /**
  * Drive a captured server session and diff its telemetry against an
  * offline wlcrc_sim replay of the recombined capture, token for
- * token. @p captureFlags selects the capture container flavour;
- * @p expectV3 additionally asserts the per-stream files landed as
- * (compressed) WLCTRC03.
+ * token. @p captureFlags selects the capture codec; every per-stream
+ * file must land as WLCTRC03, with compressed blocks iff
+ * @p expectCompressed.
  */
 void
 runCaptureReplayCase(const std::string &dirName,
-                     const std::string &captureFlags, bool expectV3)
+                     const std::string &captureFlags,
+                     bool expectCompressed)
 {
     const auto dir = freshDir(dirName);
     ServerProc server = spawnServer(
@@ -941,17 +942,11 @@ runCaptureReplayCase(const std::string &dirName,
             const auto part =
                 dir / ("stream-" + std::to_string(i) + ".wlctrc");
             ASSERT_TRUE(std::filesystem::exists(part)) << part;
-            if (expectV3) {
-                const tracefile::MappedTrace capture(part.string());
-                EXPECT_EQ(capture.format(),
-                          tracefile::TraceFormat::v3)
-                    << part;
-                EXPECT_TRUE(capture.anyCompressed()) << part;
-            } else {
-                EXPECT_EQ(tracefile::detectFormat(part.string()),
-                          tracefile::TraceFormat::v2)
-                    << part;
-            }
+            const tracefile::MappedTrace capture(part.string());
+            EXPECT_EQ(capture.format(), tracefile::TraceFormat::v3)
+                << part;
+            EXPECT_EQ(capture.anyCompressed(), expectCompressed)
+                << part;
             const auto src = tracefile::openTraceSource(part.string());
             auto cursor = src->open();
             while (auto txn = cursor->next()) {
@@ -992,17 +987,15 @@ runCaptureReplayCase(const std::string &dirName,
 
 TEST(CaptureReplay, ServerTelemetryMatchesOfflineReplayExactly)
 {
-    runCaptureReplayCase("wlcrc_serve_capture_test", "", false);
+    runCaptureReplayCase("wlcrc_serve_capture_test",
+                         " --capture-codec raw", false);
 }
 
 TEST(CaptureReplay, CompressedCaptureReplaysIdentically)
 {
-    // Same equivalence, but the per-stream captures land as
-    // compressed WLCTRC03: capture compression must be framing
-    // only, invisible to the replayed statistics.
-    runCaptureReplayCase("wlcrc_serve_capture_v3_test",
-                         " --capture-format v3 --capture-codec lz",
-                         true);
+    // Same equivalence with the default lz capture: compression
+    // must be framing only, invisible to the replayed statistics.
+    runCaptureReplayCase("wlcrc_serve_capture_v3_test", "", true);
 }
 
 // ------------------------------------------- protocol robustness

@@ -29,7 +29,6 @@
 #include "runner/grid.hh"
 #include "runner/report.hh"
 #include "runner/runner.hh"
-#include "tracefile/block_codec.hh"
 #include "tracefile/format.hh"
 #include "tracefile/mapped_trace.hh"
 #include "tracefile/source.hh"
@@ -84,12 +83,22 @@ sampleStream(uint64_t n, const char *workload = "gcc",
     return txns;
 }
 
+/** Writer options of a WLCTRC02 reader fixture. */
+tracefile::WriterOptions
+v2Options(uint32_t recordsPerBlock)
+{
+    tracefile::WriterOptions options;
+    options.recordsPerBlock = recordsPerBlock;
+    options.format = tracefile::TraceFormat::v2;
+    return options;
+}
+
 void
 writeV2(const std::string &path,
         const std::vector<WriteTransaction> &txns,
         uint32_t recordsPerBlock)
 {
-    TraceFileWriter writer(path, recordsPerBlock);
+    TraceFileWriter writer(path, v2Options(recordsPerBlock));
     for (const auto &t : txns)
         writer.write(t);
     writer.close();
@@ -585,9 +594,13 @@ TEST(TraceFileWriter, EmptyTraceIsValid)
 TEST(TraceFileWriter, RejectsZeroBlockCapacityAndWriteAfterClose)
 {
     TmpFile file("wlcrc_v2_badcap.trc");
-    EXPECT_THROW(TraceFileWriter(file.path, 0),
+    EXPECT_THROW(TraceFileWriter(file.path, {0}),
                  std::invalid_argument);
-    TraceFileWriter writer(file.path, 4);
+    tracefile::WriterOptions unknownCodec;
+    unknownCodec.codec = static_cast<tracefile::BlockCodec>(2);
+    EXPECT_THROW(TraceFileWriter(file.path, unknownCodec),
+                 std::invalid_argument);
+    TraceFileWriter writer(file.path, {4});
     writer.write(WriteTransaction{});
     writer.close();
     writer.close(); // idempotent
@@ -674,33 +687,6 @@ TEST(TraceFileWriterV3, IncompressibleBlocksFallBackToRaw)
                        tracefile::indexEntryBytes));
     EXPECT_EQ(tracefile::gather(MappedTraceSource(v3.path)).size(),
               300u);
-}
-
-TEST(TraceFileWriterV3, RawCodecAndUnavailableCodecs)
-{
-    TmpFile v3("wlcrc_v3_rawcodec.trc");
-    const auto txns = sampleStream(200, "libq", 17);
-    writeV3(v3.path, txns, 32, tracefile::BlockCodec::raw);
-    MappedTrace trace(v3.path);
-    EXPECT_FALSE(trace.anyCompressed());
-    EXPECT_EQ(trace.verifyAll(), 200u);
-    const auto back = tracefile::gather(MappedTraceSource(v3.path));
-    ASSERT_EQ(back.size(), txns.size());
-    for (std::size_t i = 0; i < back.size(); ++i)
-        ASSERT_EQ(back[i].newData, txns[i].newData) << i;
-
-    EXPECT_TRUE(tracefile::codecAvailable(tracefile::BlockCodec::raw));
-    EXPECT_TRUE(tracefile::codecAvailable(tracefile::BlockCodec::lz));
-#ifndef WLCRC_HAVE_ZSTD
-    // A codec this build cannot encode fails at construction, by
-    // name, instead of writing an unreadable file.
-    EXPECT_FALSE(
-        tracefile::codecAvailable(tracefile::BlockCodec::zstd));
-    TmpFile bad("wlcrc_v3_nozstd.trc");
-    EXPECT_THROW(writeV3(bad.path, txns, 32,
-                         tracefile::BlockCodec::zstd),
-                 std::exception);
-#endif
 }
 
 TEST(TraceFileWriterV3, EmptyTraceIsValid)
@@ -843,6 +829,47 @@ patchV3IndexEntry(const std::string &path, uint64_t block,
 // v3 index-entry field offsets (docs/trace-format.md).
 constexpr uint32_t kV3FieldStoredBytes = 32;
 constexpr uint32_t kV3FieldCodec = 40;
+
+TEST(TraceFileWriterV3, RawCodecAndUnavailableCodecs)
+{
+    TmpFile v3("wlcrc_v3_rawcodec.trc");
+    const auto txns = sampleStream(200, "libq", 17);
+    writeV3(v3.path, txns, 32, tracefile::BlockCodec::raw);
+    {
+        MappedTrace trace(v3.path);
+        EXPECT_FALSE(trace.anyCompressed());
+        EXPECT_EQ(trace.verifyAll(), 200u);
+        const auto back =
+            tracefile::gather(MappedTraceSource(v3.path));
+        ASSERT_EQ(back.size(), txns.size());
+        for (std::size_t i = 0; i < back.size(); ++i)
+            ASSERT_EQ(back[i].newData, txns[i].newData) << i;
+    }
+
+    // Codec bytes past lz are unassigned: an index entry naming one
+    // fails at open, by name, even when the index CRC is refreshed.
+    for (const unsigned byte : {2u, 255u}) {
+        SCOPED_TRACE(byte);
+        writeV3(v3.path, txns, 32);
+        patchV3IndexEntry(v3.path, 1, kV3FieldCodec, byte, 1);
+        try {
+            MappedTrace trace(v3.path);
+            FAIL() << "codec byte " << byte << " accepted";
+        } catch (const std::runtime_error &err) {
+            EXPECT_NE(std::string(err.what())
+                          .find("block 1 uses unknown codec byte " +
+                                std::to_string(byte)),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    EXPECT_EQ(tracefile::parseCodecName("raw"),
+              tracefile::BlockCodec::raw);
+    EXPECT_EQ(tracefile::parseCodecName("lz"),
+              tracefile::BlockCodec::lz);
+    EXPECT_THROW(tracefile::parseCodecName("gzip"),
+                 std::invalid_argument);
+}
 
 TEST(MappedTraceV3, BitFlippedCompressedPayloadFailsByName)
 {
@@ -1597,7 +1624,7 @@ TEST(Conversion, V1ToV2AndBackPreservesEveryRecord)
     // v1 -> v2 via the streaming cursor (what `convert` does).
     {
         auto cursor = V1FileSource(v1.path).open({});
-        TraceFileWriter writer(v2.path, 32);
+        TraceFileWriter writer(v2.path, v2Options(32));
         while (auto t = cursor->next())
             writer.write(*t);
         writer.close();
@@ -1641,7 +1668,7 @@ TEST(Conversion, V2ToV3AndBackIsByteExact)
               std::filesystem::file_size(v2.path));
     {
         auto cursor = MappedTraceSource(v3.path).open({});
-        TraceFileWriter writer(back.path, 64);
+        TraceFileWriter writer(back.path, v2Options(64));
         while (auto t = cursor->next())
             writer.write(*t);
         writer.close();
@@ -1689,27 +1716,35 @@ TEST(TraceTool, ExternalSortIsStableUnderTinyMemoryBudget)
     }
     writeV2(in.path, txns, 256);
 
-    traceTool("sort " + in.path + " " + out.path +
-              " --format v3 --mem-mb 1");
-
     auto expect = txns;
     std::stable_sort(expect.begin(), expect.end(),
                      [](const WriteTransaction &a,
                         const WriteTransaction &b) {
                          return a.lineAddr < b.lineAddr;
                      });
-    MappedTraceSource sorted(out.path);
-    const auto got = tracefile::gather(sorted);
-    ASSERT_EQ(got.size(), expect.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i].lineAddr, expect[i].lineAddr) << i;
-        ASSERT_EQ(got[i].newData.word(0),
-                  expect[i].newData.word(0))
-            << i;
+    for (const std::string codec : {"raw", "lz"}) {
+        SCOPED_TRACE(codec);
+        traceTool("sort " + in.path + " " + out.path + " --codec " +
+                  codec + " --mem-mb 1");
+        MappedTraceSource sorted(out.path);
+        const auto got = tracefile::gather(sorted);
+        ASSERT_EQ(got.size(), expect.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].lineAddr, expect[i].lineAddr) << i;
+            ASSERT_EQ(got[i].newData.word(0),
+                      expect[i].newData.word(0))
+                << i;
+        }
+        // Sorting bought compression: near-constant per-block
+        // address deltas squeeze under the lz codec.
+        EXPECT_EQ(sorted.trace().anyCompressed(), codec == "lz");
     }
-    // Sorting bought compression: near-constant per-block address
-    // deltas squeeze under the lz codec.
-    EXPECT_TRUE(sorted.trace().anyCompressed());
+    // No spill file outlives the sort.
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::filesystem::path(out.path).parent_path()))
+        EXPECT_EQ(entry.path().string().rfind(out.path + ".sort", 0),
+                  std::string::npos)
+            << entry.path();
 }
 
 TEST(TraceTool, SortStreamsASingleOversizedAddressRun)
@@ -1726,7 +1761,7 @@ TEST(TraceTool, SortStreamsASingleOversizedAddressRun)
     writeV1(in.path, txns);
 
     traceTool("sort " + in.path + " " + out.path +
-              " --format v2 --mem-mb 1");
+              " --codec raw --mem-mb 1");
 
     const auto got =
         tracefile::gather(MappedTraceSource(out.path));
@@ -1737,26 +1772,59 @@ TEST(TraceTool, SortStreamsASingleOversizedAddressRun)
     }
 }
 
+/** @return whether `cmp` finds @p a and @p b byte-identical. */
+bool
+sameBytes(const std::string &a, const std::string &b)
+{
+    return test::exitCodeOf("cmp -s " + a + " " + b) == 0;
+}
+
 TEST(TraceTool, ConvertInfoAndVerifyCoverV3)
 {
-    TmpFile v2("wlcrc_tool_v2.trc"), v3("wlcrc_tool_v3.trc"),
-        back("wlcrc_tool_back.trc");
+    // raw -> lz -> raw: compression is framing only, so the round
+    // trip regenerates the raw file byte for byte.
+    TmpFile v2("wlcrc_tool_v2.trc"), raw("wlcrc_tool_raw.trc"),
+        lz("wlcrc_tool_lz.trc"), back("wlcrc_tool_back.trc");
     writeV2(v2.path, sampleStream(500, "libq", 71), 64);
 
-    traceTool("convert " + v2.path + " " + v3.path +
-              " --format v3 --codec lz --block-records 64");
-    const auto info = traceTool("info " + v3.path + " --blocks");
+    traceTool("convert " + v2.path + " " + raw.path +
+              " --codec raw --block-records 64");
+    traceTool("convert " + raw.path + " " + lz.path +
+              " --codec lz --block-records 64");
+    const auto info = traceTool("info " + lz.path + " --blocks");
     EXPECT_NE(info.find("WLCTRC03"), std::string::npos) << info;
     EXPECT_NE(info.find("ratio"), std::string::npos) << info;
     EXPECT_NE(info.find(" lz"), std::string::npos) << info;
     EXPECT_NE(info.find("codec"), std::string::npos) << info;
-    EXPECT_NE(traceTool("verify " + v3.path).find("all checksums "
+    EXPECT_NE(traceTool("verify " + lz.path).find("all checksums "
                                                   "match"),
               std::string::npos);
+    EXPECT_FALSE(MappedTrace(raw.path).anyCompressed());
+    EXPECT_TRUE(MappedTrace(lz.path).anyCompressed());
 
-    traceTool("convert " + v3.path + " " + back.path +
-              " --format v2 --block-records 64");
-    EXPECT_EQ(slurpBytes(back.path), slurpBytes(v2.path));
+    traceTool("convert " + lz.path + " " + back.path +
+              " --codec raw --block-records 64");
+    EXPECT_TRUE(sameBytes(back.path, raw.path));
+}
+
+TEST(TraceTool, ConvertOfV1AndV2EqualsGeneratedV3)
+{
+    // The read-only generations convert to exactly the file
+    // `generate` writes for the same stream.
+    TmpFile gen("wlcrc_tool_gen.trc"), v1("wlcrc_tool_fix_v1.trc"),
+        v2("wlcrc_tool_fix_v2.trc"), out("wlcrc_tool_conv.trc");
+    const auto txns = sampleStream(5000, "gcc", 29);
+    traceTool("generate --workload gcc --lines 5000 --seed 29 --out " +
+              gen.path);
+    writeV1(v1.path, txns);
+    writeV2(v2.path, txns, 256);
+    for (const std::string *in : {&v1.path, &v2.path}) {
+        SCOPED_TRACE(*in);
+        traceTool("convert " + *in + " " + out.path);
+        EXPECT_TRUE(sameBytes(out.path, gen.path));
+    }
+    EXPECT_EQ(tracefile::detectFormat(gen.path),
+              tracefile::TraceFormat::v3);
 }
 
 #ifdef WLCRC_SIM_BIN
@@ -1767,15 +1835,17 @@ TEST(TraceTool, SimTraceOutHoldsTheSynthesizedStream)
     // the container verifies and holds exactly the synthesizer's
     // records.
     const auto want = sampleStream(700, "lesl", 13);
-    for (const std::string format : {"v2", "v3"}) {
-        SCOPED_TRACE(format);
-        TmpFile out("wlcrc_sim_trace_out_" + format + ".trc");
+    for (const std::string codec : {"raw", "lz"}) {
+        SCOPED_TRACE(codec);
+        TmpFile out("wlcrc_sim_trace_out_" + codec + ".trc");
         EXPECT_EQ(test::exitCodeOf(std::string(WLCRC_SIM_BIN) +
                                    " --workload lesl --lines 700 "
-                                   "--seed 13 --trace-format " +
-                                   format + " --trace-out " +
+                                   "--seed 13 --trace-codec " +
+                                   codec + " --trace-out " +
                                    out.path + " >/dev/null 2>&1"),
                   0);
+        EXPECT_EQ(MappedTrace(out.path).anyCompressed(),
+                  codec == "lz");
         EXPECT_NE(traceTool("verify " + out.path)
                       .find("all checksums match"),
                   std::string::npos);
@@ -1795,6 +1865,8 @@ TEST(TraceCli, RejectsRepeatedFlagsAndMalformedCountsWithUsageError)
                  out,
           "generate --workload gcc --lines 1e2 --out " + out,
           "generate --mix gcc:x --lines 10 --out " + out,
+          "generate --workload gcc --format v3 --out " + out,
+          "generate --workload gcc --codec gzip --out " + out,
           "info " + out + " --lines 5", "verify"}) {
         EXPECT_EQ(test::exitCodeOf(std::string(WLCRC_TRACE_BIN) + " " +
                                    bad + " >/dev/null 2>&1"),

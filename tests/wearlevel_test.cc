@@ -479,6 +479,47 @@ TEST(LifetimeRunner, CappedLifetimeStreamsInsteadOfMaterialising)
     EXPECT_EQ(stream->opens(), 1u);
 }
 
+TEST(LifetimeRunner, SmallSynthesizedLifetimeMatchesStreamedReplay)
+{
+    // A small synthesized lifetime spec replays its stream from
+    // memory across passes; the result must equal the same stream
+    // re-synthesized on every pass through a SynthSource.
+    runner::ExperimentSpec gathered;
+    gathered.scheme = "WLCRC-16";
+    gathered.workload = "gcc";
+    gathered.lines = 400;
+    gathered.seed = 3;
+    gathered.leveler = wearlevel::parseLeveler("start-gap:p8:r16");
+    gathered.endurance = wearlevel::parseEndurance("60:0.2");
+    gathered.lifetime = true;
+    runner::ExperimentSpec streamed = gathered;
+    streamed.source = std::make_shared<tracefile::SynthSource>(
+        false, "gcc", gathered.seed, gathered.lines);
+
+    const auto a = runner::runSpecSerial(gathered);
+    const auto b = runner::runSpecSerial(streamed);
+    ASSERT_TRUE(a.ok) << a.error;
+    ASSERT_TRUE(b.ok) << b.error;
+    ASSERT_TRUE(a.lifetime.died);
+    EXPECT_GT(a.lifetime.demandWrites, 400u) << "needs several passes";
+    EXPECT_EQ(a.lifetime.demandWrites, b.lifetime.demandWrites);
+    EXPECT_EQ(a.lifetime.writesToFailure, b.lifetime.writesToFailure);
+    EXPECT_EQ(a.lifetime.extraWrites, b.lifetime.extraWrites);
+    EXPECT_EQ(a.lifetime.remapEvents, b.lifetime.remapEvents);
+    EXPECT_EQ(a.lifetime.tableBytes, b.lifetime.tableBytes);
+    EXPECT_EQ(a.lifetime.failedLine, b.lifetime.failedLine);
+    EXPECT_EQ(a.lifetime.failedCell, b.lifetime.failedCell);
+    EXPECT_EQ(a.lifetime.deadCells, b.lifetime.deadCells);
+    EXPECT_EQ(a.lifetime.maxCellWear, b.lifetime.maxCellWear);
+    EXPECT_EQ(a.lifetime.finalWearCov, b.lifetime.finalWearCov);
+    EXPECT_EQ(a.lifetime.wearCovTimeline, b.lifetime.wearCovTimeline);
+    EXPECT_EQ(a.lifetime.covSampleEvery, b.lifetime.covSampleEvery);
+    EXPECT_EQ(a.replay.writes, b.replay.writes);
+    EXPECT_EQ(a.replay.energyPj.mean(), b.replay.energyPj.mean());
+    EXPECT_EQ(a.replay.disturbErrors.mean(),
+              b.replay.disturbErrors.mean());
+}
+
 TEST(LifetimeRunner, LifetimeWithoutEnduranceFailsThePoint)
 {
     runner::ExperimentSpec spec;

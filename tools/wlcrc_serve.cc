@@ -3,7 +3,7 @@
  * wlcrc_serve: the live write-stream service (docs/serve.md) — a TCP
  * daemon that encodes framed WriteTransaction streams from many
  * concurrent clients through bank-sharded device state, with live
- * telemetry and optional WLCTRC02 capture of every accepted stream.
+ * telemetry and optional WLCTRC03 capture of every accepted stream.
  *
  * Options:
  *   --port <P>             listen port on 127.0.0.1, 0..65535
@@ -19,11 +19,7 @@
  *                          full ring = backpressure on the client
  *   --capture <dir>        write each connection's accepted stream
  *                          to <dir>/stream-<id>.wlctrc
- *   --capture-format <F>   capture container revision: v2
- *                          (uncompressed, default) or v3
- *                          (per-block compressed)
- *   --capture-codec <C>    v3 block codec: lz (default), zstd (if
- *                          built in) or raw
+ *   --capture-codec <C>    capture block codec: lz (default) or raw
  *   --max-writes <N>       stop after admitting N writes
  *   --run-seconds <S>      stop after S seconds of wall time
  *   --max-conns <N>        stop after N connections closed
@@ -49,7 +45,6 @@
 
 #include "common/parse.hh"
 #include "serve/server.hh"
-#include "tracefile/block_codec.hh"
 
 namespace
 {
@@ -70,8 +65,7 @@ const char *const kUsage =
     "[--seed S]\n"
     "          [--queue-capacity N] [--capture DIR] "
     "[--max-writes N]\n"
-    "          [--capture-format v2|v3] "
-    "[--capture-codec raw|lz|zstd]\n"
+    "          [--capture-codec raw|lz]\n"
     "          [--run-seconds S] [--max-conns N] [--vnr] "
     "[--wear ENDURANCE]\n"
     "          [--s3 pJ] [--s4 pJ] [--help]\n";
@@ -82,8 +76,6 @@ int
 main(int argc, char **argv)
 {
     serve::ServerConfig cfg;
-    auto &capture = cfg.captureOptions;
-    std::string captureFormat = "v2";
     CommandLine cl("wlcrc_serve", kUsage);
     cl.uint("--port", cfg.port)
         .text("--scheme", cfg.engine.scheme)
@@ -91,10 +83,10 @@ main(int argc, char **argv)
         .uint("--seed", cfg.engine.seed)
         .uint("--queue-capacity", cfg.engine.queueCapacity, 1)
         .text("--capture", cfg.captureDir)
-        .choice("--capture-format", captureFormat, {"v2", "v3"})
         .value("--capture-codec",
-               [&capture](const std::string &v) {
-                   capture.codec = tracefile::parseCodecName(v);
+               [&cfg](const std::string &v) {
+                   cfg.captureOptions.codec =
+                       tracefile::parseCodecName(v);
                })
         .uint("--max-writes", cfg.maxWrites)
         .real("--run-seconds", cfg.runSeconds, RealRange::nonNegative)
@@ -103,16 +95,7 @@ main(int argc, char **argv)
         .uint("--wear", cfg.engine.wearEndurance)
         .real("--s3", cfg.engine.s3, RealRange::nonNegative)
         .real("--s4", cfg.engine.s4, RealRange::nonNegative);
-    const auto check = [&] {
-        if (captureFormat == "v3")
-            capture.format = tracefile::TraceFormat::v3;
-        usageCheck(captureFormat != "v3" ||
-                       tracefile::codecAvailable(capture.codec),
-                   std::string("--capture-codec ") +
-                       tracefile::codecName(capture.codec) +
-                       ": not built into this binary");
-    };
-    if (const auto status = cl.parse(argc, argv, check))
+    if (const auto status = cl.parse(argc, argv))
         return *status;
     try {
         serve::Server server(cfg);

@@ -8,16 +8,13 @@
  *   --workload <name>      synthesize the named benchmark workload
  *   --random               random-data workload (Figures 1a/2)
  *   --trace-in <file>      replay an existing binary trace; the
- *                          format (WLCTRC01 / WLCTRC02) is
+ *                          format (WLCTRC01 / 02 / 03) is
  *                          auto-detected and the file is streamed —
  *                          never loaded whole — so traces larger
  *                          than RAM replay fine
- *   --trace-out <file>     also persist the synthesized trace
- *   --trace-format v2|v3   container written by --trace-out
- *                          (default v3, whose blocks are compressed
- *                          with --trace-codec, default lz; for a v1
- *                          dump, `wlcrc_trace convert --format v1`)
- *   --trace-codec <C>      v3 block codec: raw, lz or zstd
+ *   --trace-out <file>     also persist the synthesized trace as
+ *                          WLCTRC03
+ *   --trace-codec <C>      its block codec: lz (default) or raw
  *
  * Options:
  *   --scheme <name>        encoding scheme (default WLCRC-16);
@@ -113,7 +110,6 @@
 #include "runner/report.hh"
 #include "runner/result_cache.hh"
 #include "runner/runner.hh"
-#include "tracefile/block_codec.hh"
 #include "tracefile/source.hh"
 #include "tracefile/writer.hh"
 #include "wearlevel/config.hh"
@@ -129,8 +125,7 @@ struct Options
     std::string workload;
     std::string traceIn;
     std::string traceOut;
-    std::string traceFormat = "v3";
-    std::string traceCodec;
+    tracefile::WriterOptions traceWriter; //!< --trace-codec
     std::string partition = "modulo";
     uint64_t decodeAhead = 0;
     std::string backend = "thread";
@@ -160,8 +155,7 @@ struct Options
 const char *const kUsage =
     "usage: wlcrc_sim [--scheme S]... (--workload W | --random | "
     "--trace-in F)\n"
-    "          [--trace-out F] [--trace-format v2|v3] "
-    "[--trace-codec raw|lz|zstd]\n"
+    "          [--trace-out F] [--trace-codec raw|lz]\n"
     "          [--lines N] [--seed S] [--jobs N] [--shards N] "
     "[--partition modulo|range] [--decode-ahead N]\n"
     "          [--backend thread|serial|process|remote] "
@@ -182,8 +176,10 @@ declare(CommandLine &cl, Options &o)
         .text("--workload", o.workload)
         .text("--trace-in", o.traceIn)
         .text("--trace-out", o.traceOut)
-        .choice("--trace-format", o.traceFormat, {"v2", "v3"})
-        .text("--trace-codec", o.traceCodec)
+        .value("--trace-codec",
+               [&o](const std::string &v) {
+                   o.traceWriter.codec = tracefile::parseCodecName(v);
+               })
         .choice("--partition", o.partition, {"modulo", "range"})
         .uint("--decode-ahead", o.decodeAhead)
         .choice("--backend", o.backend,
@@ -232,8 +228,6 @@ check(const CommandLine &cl, Options &o)
     usageCheck(o.backend == "remote" || !headFlags,
                "--listen/--workers/--reissue-sec configure the head "
                "node; pass --backend remote");
-    usageCheck(o.traceCodec.empty() || o.traceFormat == "v3",
-               "--trace-codec applies to --trace-format v3 only");
     usageCheck(o.partition != "range" || !o.traceIn.empty(),
                "--partition range slices a stored trace's address "
                "span; it needs --trace-in");
@@ -249,21 +243,15 @@ check(const CommandLine &cl, Options &o)
 }
 
 /**
- * Persist the synthesized stream for --trace-out as an indexed
- * WLCTRC02/03 container. This only writes the file; the runner
+ * Persist the synthesized stream for --trace-out as a WLCTRC03
+ * container. This only writes the file; the runner
  * synthesizes the identical stream from the seed on its own, so the
  * reported source stays the workload name.
  */
 void
 persistTrace(const Options &o)
 {
-    tracefile::WriterOptions wopts;
-    if (o.traceFormat == "v3") {
-        wopts.format = tracefile::TraceFormat::v3;
-        if (!o.traceCodec.empty())
-            wopts.codec = tracefile::parseCodecName(o.traceCodec);
-    }
-    tracefile::TraceFileWriter writer(o.traceOut, wopts);
+    tracefile::TraceFileWriter writer(o.traceOut, o.traceWriter);
     auto cursor =
         tracefile::SynthSource(o.random, o.workload, o.seed, o.lines)
             .open({});

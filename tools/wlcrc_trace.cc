@@ -10,9 +10,10 @@
  *              random workload, or a multi-programmed blend of
  *              profiles (--mix "gcc:2,lbm:1" weights the programs'
  *              shares of the write stream)
- *   convert    re-frame a trace between WLCTRC01, WLCTRC02 and
- *              WLCTRC03 in any direction (the record encoding is
- *              shared, so every conversion is lossless)
+ *   convert    re-frame a WLCTRC01, WLCTRC02 or WLCTRC03 trace as
+ *              WLCTRC03 with the chosen codec and blocking (the
+ *              record encoding is shared, so every conversion is
+ *              lossless)
  *   sort       rewrite a trace in ascending line-address order,
  *              preserving each line's write order — an external
  *              bucket sort bounded by --mem-mb, so traces far larger
@@ -30,12 +31,15 @@
  *              WLCTRC01 dump for truncation; exits non-zero on
  *              corruption
  *
+ * Every file this tool writes is WLCTRC03 (--codec lz by default);
+ * WLCTRC01 and WLCTRC02 files are read everywhere.
+ *
  * Examples:
  *   wlcrc_trace generate --workload gcc --lines 100000 --out gcc.trc
  *   wlcrc_trace generate --mix "lesl:2,libq:1" --lines 100000 \
- *       --out blend.trc --format v3 --codec lz
- *   wlcrc_trace convert old.trc new.trc --format v3
- *   wlcrc_trace sort blend.trc sorted.trc --format v3 --mem-mb 64
+ *       --out blend.trc --codec raw
+ *   wlcrc_trace convert old_v2.trc new.trc
+ *   wlcrc_trace sort blend.trc sorted.trc --mem-mb 64
  *   wlcrc_trace info blend.trc --blocks
  *   wlcrc_trace verify blend.trc
  */
@@ -49,7 +53,6 @@
 #include <vector>
 
 #include "common/parse.hh"
-#include "tracefile/block_codec.hh"
 #include "tracefile/format.hh"
 #include "tracefile/mapped_trace.hh"
 #include "tracefile/source.hh"
@@ -66,12 +69,10 @@ const char *const kUsage =
     "usage: wlcrc_trace <subcommand> [options]\n"
     "  generate (--workload W | --random | --mix \"A:w,B:w\")\n"
     "           --out FILE [--lines N] [--seed S]\n"
-    "           [--format v1|v2|v3] [--codec raw|lz|zstd]\n"
-    "           [--block-records N]\n"
-    "  convert  IN OUT [--format v1|v2|v3] [--codec C]\n"
-    "           [--block-records N]\n"
-    "  sort     IN OUT [--format v1|v2|v3] [--codec C]\n"
-    "           [--block-records N] [--mem-mb M]\n"
+    "           [--codec raw|lz] [--block-records N]\n"
+    "  convert  IN OUT [--codec raw|lz] [--block-records N]\n"
+    "  sort     IN OUT [--codec raw|lz] [--block-records N] "
+    "[--mem-mb M]\n"
     "  info     FILE [--blocks]\n"
     "  verify   FILE\n"
     "  --help   print this usage and exit 0\n";
@@ -110,61 +111,15 @@ parseMix(const std::string &spec)
     return programs;
 }
 
-/** Sink writing any container format behind one call shape. */
-class AnyWriter
-{
-  public:
-    AnyWriter(const std::string &path, const std::string &format,
-              uint32_t blockRecords, const std::string &codec)
-    {
-        if (format == "v1") {
-            v1_.emplace(path);
-            return;
-        }
-        tracefile::WriterOptions opts;
-        opts.recordsPerBlock = blockRecords;
-        opts.format = format == "v3" ? tracefile::TraceFormat::v3
-                                     : tracefile::TraceFormat::v2;
-        if (!codec.empty())
-            opts.codec = tracefile::parseCodecName(codec);
-        container_.emplace(path, opts);
-    }
-
-    void
-    write(const trace::WriteTransaction &txn)
-    {
-        if (container_)
-            container_->write(txn);
-        else
-            v1_->write(txn);
-    }
-
-    uint64_t
-    close()
-    {
-        if (container_) {
-            container_->close();
-            return container_->written();
-        }
-        v1_->close(); // throws on a failed/truncated write
-        return v1_->written();
-    }
-
-  private:
-    std::optional<tracefile::TraceFileWriter> container_;
-    std::optional<trace::TraceWriter> v1_;
-};
-
 struct Args
 {
     std::vector<std::string> positional;
     std::string workload, mix, out;
     std::vector<trace::MixedSynthesizer::Program> programs; //!< --mix
-    std::string format = "v2", codec;
+    tracefile::WriterOptions writer; //!< --codec, --block-records
     bool random = false, blocks = false;
     uint64_t lines = 10000, seed = 1;
     uint64_t memMb = 64;
-    uint32_t blockRecords = tracefile::defaultRecordsPerBlock;
 };
 
 /**
@@ -187,9 +142,11 @@ declare(CommandLine &cl, const std::string &cmd, Args &a)
             .uint("--lines", a.lines)
             .uint("--seed", a.seed);
     if (cmd == "generate" || cmd == "convert" || cmd == "sort")
-        cl.choice("--format", a.format, {"v1", "v2", "v3"})
-            .text("--codec", a.codec)
-            .uint("--block-records", a.blockRecords, 1);
+        cl.value("--codec",
+                 [&a](const std::string &v) {
+                     a.writer.codec = tracefile::parseCodecName(v);
+                 })
+            .uint("--block-records", a.writer.recordsPerBlock, 1);
     if (cmd == "sort") // the budget in bytes must fit 64 bits
         cl.uint("--mem-mb", a.memMb, 1, UINT64_MAX >> 20);
     if (cmd == "info")
@@ -212,16 +169,16 @@ cmdGenerate(const Args &a)
                             a.random, a.workload, a.seed, a.lines)
                       : std::make_unique<tracefile::SynthSource>(
                             a.programs, a.seed, a.lines);
-    AnyWriter writer(a.out, a.format, a.blockRecords, a.codec);
+    tracefile::TraceFileWriter writer(a.out, a.writer);
     auto cursor = source->open({});
     while (auto t = cursor->next())
         writer.write(*t);
-    const uint64_t written = writer.close();
+    writer.close();
     const std::string what = !a.mix.empty() ? "blend " + a.mix
                              : a.random     ? "random data"
                                             : "workload " + a.workload;
     std::printf("wrote %llu records of %s to %s\n",
-                static_cast<unsigned long long>(written),
+                static_cast<unsigned long long>(writer.written()),
                 what.c_str(), a.out.c_str());
     return 0;
 }
@@ -233,14 +190,15 @@ cmdConvert(const Args &a)
     const std::string &out = a.positional[1];
 
     const auto source = tracefile::openTraceSource(in);
-    AnyWriter writer(out, a.format, a.blockRecords, a.codec);
+    tracefile::TraceFileWriter writer(out, a.writer);
     auto cursor = source->open({});
     while (auto t = cursor->next())
         writer.write(*t);
-    const uint64_t written = writer.close();
-    std::printf("converted %llu records: %s -> %s (%s)\n",
-                static_cast<unsigned long long>(written), in.c_str(),
-                out.c_str(), a.format.c_str());
+    writer.close();
+    std::printf("converted %llu records: %s -> %s (v3 %s)\n",
+                static_cast<unsigned long long>(writer.written()),
+                in.c_str(), out.c_str(),
+                tracefile::codecName(a.writer.codec));
     return 0;
 }
 
@@ -255,7 +213,9 @@ cmdConvert(const Args &a)
  * up to 64K equal-width bins over the stream's [min, max] span, the
  * bins are greedily grouped into contiguous buckets that each fit
  * the budget, a second scan appends every record to its bucket's
- * WLCTRC01 spill file, and the buckets recurse in ascending order.
+ * spill file (WLCTRC03 with raw blocks, which need no decode), and
+ * the buckets recurse in ascending order; each spill's index gives
+ * its record count and address bounds without a scan.
  * A bucket that still exceeds the budget but spans a single address
  * is already sorted (arrival order IS its final order), so it is
  * stream-copied without ever being held in memory. The address span
@@ -263,7 +223,8 @@ cmdConvert(const Args &a)
  * even for a full 64-bit address space.
  */
 void
-sortSource(const tracefile::TransactionSource &src, AnyWriter &out,
+sortSource(const tracefile::TransactionSource &src,
+           tracefile::TraceFileWriter &out,
            uint64_t budgetRecords, const std::string &tmpBase,
            int depth)
 {
@@ -331,12 +292,21 @@ sortSource(const tracefile::TransactionSource &src, AnyWriter &out,
     }
     ++buckets;
 
-    std::vector<std::optional<trace::TraceWriter>> spill(buckets);
+    // The spill writers' block buffers share the record budget,
+    // between 64 records (a stream buffer's worth) and a default
+    // block each.
+    tracefile::WriterOptions spillOptions;
+    spillOptions.codec = tracefile::BlockCodec::raw;
+    spillOptions.recordsPerBlock = static_cast<uint32_t>(
+        std::clamp<uint64_t>(budgetRecords / buckets, 64,
+                             tracefile::defaultRecordsPerBlock));
+    std::vector<std::optional<tracefile::TraceFileWriter>> spill(
+        buckets);
     std::vector<std::string> spillPath(buckets);
     for (std::size_t k = 0; k < buckets; ++k) {
         spillPath[k] = tmpBase + "." + std::to_string(depth) + "." +
                        std::to_string(k) + ".tmp";
-        spill[k].emplace(spillPath[k]);
+        spill[k].emplace(spillPath[k], spillOptions);
     }
     {
         auto cursor = src.open({});
@@ -348,8 +318,8 @@ sortSource(const tracefile::TransactionSource &src, AnyWriter &out,
     spill.clear(); // release the write handles before re-reading
 
     for (std::size_t k = 0; k < buckets; ++k) {
-        const tracefile::V1FileSource part(spillPath[k]);
-        sortSource(part, out, budgetRecords, tmpBase, depth + 1);
+        sortSource(tracefile::MappedTraceSource(spillPath[k]), out,
+                   budgetRecords, tmpBase, depth + 1);
         std::filesystem::remove(spillPath[k]);
     }
 }
@@ -364,12 +334,12 @@ cmdSort(const Args &a)
     const uint64_t budgetRecords =
         std::max<uint64_t>(1, a.memMb * 1024 * 1024 /
                                   sizeof(trace::WriteTransaction));
-    AnyWriter writer(out, a.format, a.blockRecords, a.codec);
+    tracefile::TraceFileWriter writer(out, a.writer);
     sortSource(*source, writer, budgetRecords, out + ".sort", 0);
-    const uint64_t written = writer.close();
+    writer.close();
     std::printf("sorted %llu records by line address: %s -> %s\n",
-                static_cast<unsigned long long>(written), in.c_str(),
-                out.c_str());
+                static_cast<unsigned long long>(writer.written()),
+                in.c_str(), out.c_str());
     return 0;
 }
 
@@ -412,21 +382,19 @@ cmdInfo(const Args &a)
         const uint64_t raw =
             trace.records() * tracefile::recordBytes;
         const uint64_t stored = trace.storedBytes();
-        uint64_t perCodec[3] = {0, 0, 0};
+        uint64_t perCodec[2] = {0, 0};
         for (uint64_t b = 0; b < trace.blockCount(); ++b)
             ++perCodec[static_cast<unsigned>(
                 trace.blockInfo(b).codec)];
         std::printf("stored:  %llu B of %llu B raw "
-                    "(ratio %.2fx; blocks: %llu raw, %llu lz, "
-                    "%llu zstd)\n",
+                    "(ratio %.2fx; blocks: %llu raw, %llu lz)\n",
                     static_cast<unsigned long long>(stored),
                     static_cast<unsigned long long>(raw),
                     stored ? static_cast<double>(raw) /
                                  static_cast<double>(stored)
                            : 0.0,
                     static_cast<unsigned long long>(perCodec[0]),
-                    static_cast<unsigned long long>(perCodec[1]),
-                    static_cast<unsigned long long>(perCodec[2]));
+                    static_cast<unsigned long long>(perCodec[1]));
     }
     if (a.blocks) {
         std::printf("%8s %8s %12s %12s %10s %6s %10s %7s\n", "block",
@@ -508,8 +476,6 @@ main(int argc, char **argv)
                    "pass exactly one of --workload, --mix and --random");
         usageCheck(cmd != "generate" || !a.out.empty(),
                    "generate needs --out FILE");
-        usageCheck(a.codec.empty() || a.format == "v3",
-                   "--codec applies to --format v3 only");
     };
     if (const auto status = cl.parse(argc, argv, check, 2))
         return *status;
